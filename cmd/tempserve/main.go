@@ -32,6 +32,18 @@ import (
 	"temp/internal/serve"
 )
 
+// Connection timeouts of the HTTP server. Only the request header and
+// keep-alive idle time are bounded: request bodies are small and
+// size-limited, and a streamed solve legitimately writes for as long
+// as its budget runs, so there is no read or write deadline.
+const (
+	// readHeaderTimeout stops a slow-header client from holding a
+	// connection open forever.
+	readHeaderTimeout = 10 * time.Second
+	// idleTimeout closes keep-alive connections left unused this long.
+	idleTimeout = 2 * time.Minute
+)
+
 func main() {
 	var (
 		listen        = flag.String("listen", ":8080", "HTTP listen address")
@@ -107,7 +119,12 @@ func main() {
 		Fabric:        fab,
 		CheckpointDir: *checkpointDir,
 	})
-	httpSrv := &http.Server{Addr: *listen, Handler: srv}
+	httpSrv := &http.Server{
+		Addr:              *listen,
+		Handler:           srv,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 
 	// Graceful shutdown on SIGTERM/SIGINT: new solves get 503 +
 	// Retry-After while in-flight ones finish inside the grace period

@@ -1,6 +1,9 @@
 package mesh
 
 import (
+	"fmt"
+	"sort"
+	"strings"
 	"testing"
 
 	"temp/internal/hw"
@@ -54,6 +57,52 @@ func TestSeqTimeLoweredMatchesMaterialized(t *testing.T) {
 	}
 }
 
+// refTime is the historical map-keyed Time kernel, kept as the
+// independent reference the dense kernel is pinned against: per-link
+// maps accumulated in flow-then-route order and a bottleneck scan over
+// links sorted by (From, To).
+func refTime(t *Topology, p Phase) PhaseTime {
+	var out PhaseTime
+	loads := make(LinkLoads)
+	msgBytes := make(map[Link]float64)
+	msgCount := make(map[Link]int)
+	for _, f := range p.Flows {
+		out.TotalBytes += f.Bytes
+		if h := f.Route.Hops(); h > out.MaxHops {
+			out.MaxHops = h
+		}
+	}
+	p.forEachLink(func(i int, l Link) {
+		bytes := p.Flows[i].Bytes
+		loads[l] += bytes
+		msgBytes[l] += bytes
+		msgCount[l]++
+		out.LinkBytes += bytes
+	})
+	keys := make([]Link, 0, len(loads))
+	for l := range loads {
+		keys = append(keys, l)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].From != keys[j].From {
+			return keys[i].From < keys[j].From
+		}
+		return keys[i].To < keys[j].To
+	})
+	for _, l := range keys {
+		mean := msgBytes[l] / float64(msgCount[l])
+		bw := t.link.EffectiveBandwidth(mean)
+		ser := loads[l] / bw
+		if ser > out.Serialization {
+			out.Serialization = ser
+			out.Bottleneck = l
+			out.BottleneckBytes = loads[l]
+		}
+	}
+	out.HopLatency = float64(out.MaxHops) * t.link.Latency
+	return out
+}
+
 // TestTimeMatchesGenericKernel pins the dense kernel against the
 // historical map kernel bit for bit, including the bottleneck
 // tie-break (sorted link order) and summation order.
@@ -63,24 +112,38 @@ func TestTimeMatchesGenericKernel(t *testing.T) {
 	// Add flows with shared links so several links tie on load.
 	p.Flows = append(p.Flows, p.Flows...)
 	got := tp.Time(p)
-	want := tp.timeGeneric(p, false, 0)
+	want := refTime(tp, p)
 	if got != want {
-		t.Errorf("dense Time = %+v, generic = %+v", got, want)
+		t.Errorf("dense Time = %+v, reference = %+v", got, want)
 	}
 }
 
-// TestTimeFallbackOffMesh verifies that synthetic routes between
-// non-adjacent dies still evaluate (via the generic kernel).
-func TestTimeFallbackOffMesh(t *testing.T) {
+// mustPanicNaming runs fn and fails unless it panics with a message
+// containing want.
+func mustPanicNaming(t *testing.T, what, want string, fn func()) {
+	t.Helper()
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatalf("%s accepted an off-mesh route", what)
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, want) {
+			t.Errorf("%s panic %q does not name the link %s", what, msg, want)
+		}
+	}()
+	fn()
+}
+
+// TestTimeRejectsOffMesh pins the route invariant: a step between
+// non-adjacent dies is a caller bug, and both timing kernels reject it
+// with a panic naming the link instead of pricing it.
+func TestTimeRejectsOffMesh(t *testing.T) {
 	tp := New(4, 8, hw.TableID2D())
 	p := Phase{Flows: []Flow{{Src: 0, Dst: 9, Bytes: 100, Route: Path{0, 9}}}}
-	pt := tp.Time(p)
-	if pt.TotalBytes != 100 || pt.Serialization <= 0 {
-		t.Errorf("off-mesh fallback produced %+v", pt)
-	}
-	if got, want := pt, tp.timeGeneric(p, false, 0); got != want {
-		t.Errorf("fallback mismatch: %+v vs %+v", got, want)
-	}
+	want := Link{0, 9}.String()
+	mustPanicNaming(t, "Time", want, func() { tp.Time(p) })
+	seq := []LoweredSeq{{Tmpl: NewPhaseTemplate([]Phase{p}), Bytes: 100}}
+	mustPanicNaming(t, "SeqTimeLowered", want, func() { tp.SeqTimeLowered(seq) })
 }
 
 // TestLinkIndexRoundTrip pins the canonical dense index: IDs ascend

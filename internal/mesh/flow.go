@@ -32,7 +32,7 @@ type LinkLoads map[Link]float64
 // forEachLink calls fn for every (flow index, traversed link) pair of
 // the phase, in flow order then route order. It is the single
 // load-accumulation walk shared by Loads, the dense Time kernel and
-// the generic fallback, so their float summation orders cannot drift.
+// the template profile, so their float summation orders cannot drift.
 func (p Phase) forEachLink(fn func(i int, l Link)) {
 	for i := range p.Flows {
 		r := p.Flows[i].Route
@@ -47,34 +47,6 @@ func (p Phase) Loads() LinkLoads {
 	out := make(LinkLoads)
 	p.forEachLink(func(i int, l Link) { out[l] += p.Flows[i].Bytes })
 	return out
-}
-
-// MaxLoad returns the most congested link and its load. When the
-// phase is empty it returns a zero link and zero load.
-func (p Phase) MaxLoad() (Link, float64) {
-	loads := p.Loads()
-	var (
-		best     Link
-		bestLoad float64
-		found    bool
-	)
-	// Deterministic tie-break: iterate links in sorted order.
-	keys := make([]Link, 0, len(loads))
-	for l := range loads {
-		keys = append(keys, l)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].From != keys[j].From {
-			return keys[i].From < keys[j].From
-		}
-		return keys[i].To < keys[j].To
-	})
-	for _, l := range keys {
-		if !found || loads[l] > bestLoad {
-			best, bestLoad, found = l, loads[l], true
-		}
-	}
-	return best, bestLoad
 }
 
 // PhaseTime is the latency estimate for one phase: the bottleneck
@@ -110,7 +82,6 @@ func (pt PhaseTime) Total() float64 { return pt.Serialization + pt.HopLatency }
 // largest topology seen.
 type timeScratch struct {
 	loads    []float64
-	msgBytes []float64
 	msgCount []int32
 }
 
@@ -120,79 +91,62 @@ var timePool = sync.Pool{New: func() any { return new(timeScratch) }}
 func (s *timeScratch) grab(n int) {
 	if cap(s.loads) < n {
 		s.loads = make([]float64, n)
-		s.msgBytes = make([]float64, n)
 		s.msgCount = make([]int32, n)
 		return
 	}
 	s.loads = s.loads[:n]
-	s.msgBytes = s.msgBytes[:n]
 	s.msgCount = s.msgCount[:n]
 	for i := range s.loads {
 		s.loads[i] = 0
-		s.msgBytes[i] = 0
 		s.msgCount[i] = 0
 	}
 }
 
-// Time evaluates the phase on topology t.
+// routeLinkID returns the canonical ID of a route step. Every route
+// step must be a mesh link — routes come from Route, RouteXY, RouteYX,
+// RouteWeighted and MulticastTree, which only join neighbouring dies —
+// so an off-mesh step is a caller bug and panics naming the link.
+func (t *Topology) routeLinkID(l Link) int {
+	id := t.LinkID(l)
+	if id < 0 {
+		panic(fmt.Sprintf("mesh: route step %v is not a link of the %dx%d mesh", l, t.rows, t.cols))
+	}
+	return id
+}
+
+// Time evaluates the phase on topology t. Every route step must be a
+// mesh link; an off-mesh step panics.
 //
 // The kernel accumulates per-link loads into flat arrays over the
 // canonical link index and scans IDs in ascending order for the
 // bottleneck — bit-identical to the historical map-accumulate-and-sort
 // implementation, because link IDs ascend in exactly the (From, To)
 // order the old sort used and the per-accumulator float summation
-// order (flow order, then route order) is unchanged. Routes that
-// traverse non-mesh links (synthetic test phases) fall back to the
-// generic map path.
-func (t *Topology) Time(p Phase) PhaseTime { return t.timePhase(p, false, 0) }
-
-// timePhase is the shared kernel behind Time and the template
-// evaluation path: when scaled is set every flow carries scale bytes
-// (templates store byte-invariant structures), otherwise each flow's
-// own Bytes field is used.
-func (t *Topology) timePhase(p Phase, scaled bool, scale float64) PhaseTime {
+// order (flow order, then route order) is unchanged.
+func (t *Topology) Time(p Phase) PhaseTime {
 	var out PhaseTime
 	for i := range p.Flows {
-		b := p.Flows[i].Bytes
-		if scaled {
-			b = scale
-		}
-		out.TotalBytes += b
+		out.TotalBytes += p.Flows[i].Bytes
 		if h := p.Flows[i].Route.Hops(); h > out.MaxHops {
 			out.MaxHops = h
 		}
 	}
 	s := timePool.Get().(*timeScratch)
 	s.grab(len(t.links))
-	ok := true
 	p.forEachLink(func(i int, l Link) {
-		if !ok {
-			return
-		}
-		id := t.LinkID(l)
-		if id < 0 {
-			ok = false
-			return
-		}
+		id := t.routeLinkID(l)
 		bytes := p.Flows[i].Bytes
-		if scaled {
-			bytes = scale
-		}
 		s.loads[id] += bytes
-		s.msgBytes[id] += bytes
 		s.msgCount[id]++
 		out.LinkBytes += bytes
 	})
-	if !ok {
-		timePool.Put(s)
-		return t.timeGeneric(p, scaled, scale)
-	}
 	for id := range s.loads {
 		n := s.msgCount[id]
 		if n == 0 {
 			continue
 		}
-		mean := s.msgBytes[id] / float64(n)
+		// Per-link mean message size drives granularity efficiency.
+		mean := s.loads[id] / float64(n)
 		bw := t.link.EffectiveBandwidth(mean)
 		ser := s.loads[id] / bw
 		if ser > out.Serialization {
@@ -202,59 +156,6 @@ func (t *Topology) timePhase(p Phase, scaled bool, scale float64) PhaseTime {
 		}
 	}
 	timePool.Put(s)
-	out.HopLatency = float64(out.MaxHops) * t.link.Latency
-	return out
-}
-
-// timeGeneric is the historical map-based kernel, kept for phases
-// whose routes step between non-adjacent dies.
-func (t *Topology) timeGeneric(p Phase, scaled bool, scale float64) PhaseTime {
-	var out PhaseTime
-	loads := make(LinkLoads)
-	// Per-link mean message size drives granularity efficiency.
-	msgBytes := make(map[Link]float64)
-	msgCount := make(map[Link]int)
-	for _, f := range p.Flows {
-		b := f.Bytes
-		if scaled {
-			b = scale
-		}
-		out.TotalBytes += b
-		h := f.Route.Hops()
-		if h > out.MaxHops {
-			out.MaxHops = h
-		}
-	}
-	p.forEachLink(func(i int, l Link) {
-		bytes := p.Flows[i].Bytes
-		if scaled {
-			bytes = scale
-		}
-		loads[l] += bytes
-		msgBytes[l] += bytes
-		msgCount[l]++
-		out.LinkBytes += bytes
-	})
-	keys := make([]Link, 0, len(loads))
-	for l := range loads {
-		keys = append(keys, l)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].From != keys[j].From {
-			return keys[i].From < keys[j].From
-		}
-		return keys[i].To < keys[j].To
-	})
-	for _, l := range keys {
-		mean := msgBytes[l] / float64(msgCount[l])
-		bw := t.link.EffectiveBandwidth(mean)
-		ser := loads[l] / bw
-		if ser > out.Serialization {
-			out.Serialization = ser
-			out.Bottleneck = l
-			out.BottleneckBytes = loads[l]
-		}
-	}
 	out.HopLatency = float64(out.MaxHops) * t.link.Latency
 	return out
 }

@@ -154,8 +154,8 @@ func (t *Topology) NumLinks() int { return len(t.links) }
 func (t *Topology) LinkByID(id int) Link { return t.links[id] }
 
 // LinkID returns the canonical dense ID of a directed mesh link, or -1
-// when the endpoints are not mesh-adjacent (callers fall back to the
-// generic map-based path for such synthetic routes).
+// when the endpoints are not mesh-adjacent. Every route step must be a
+// mesh link: the timing kernels panic on a -1 rather than price it.
 func (t *Topology) LinkID(l Link) int {
 	from := int(l.From)
 	if from < 0 || from >= t.rows*t.cols {

@@ -30,14 +30,11 @@ type PhaseTemplate struct {
 // ascending order with their traversal counts, plus the per-phase flow
 // count, total traversal count and longest route. Because all of a
 // template's flows carry one byte value per evaluation, these counts
-// are sufficient to reproduce the dense timePhase walk bit-for-bit —
+// are sufficient to reproduce the dense Time walk bit-for-bit —
 // each link's load is the same value added count times — without
 // zeroing per-link scratch or re-deriving link IDs per candidate.
 type linkProfile struct {
 	topo *Topology
-	// ok is false when a route crosses a non-mesh link; such templates
-	// fall back to the walking kernels.
-	ok bool
 	// off[p]..off[p+1] bounds phase p's entries in ids/counts.
 	off    []int32
 	ids    []int32
@@ -71,11 +68,12 @@ func (t *Topology) profileFor(tmpl *PhaseTemplate) *linkProfile {
 }
 
 // buildProfile counts each phase's per-link traversals through the
-// same forEachLink walk the timing kernels use.
+// same forEachLink walk the Time kernel uses; like Time, it panics on
+// a route step that is not a mesh link.
 func (t *Topology) buildProfile(tmpl *PhaseTemplate) *linkProfile {
 	n := len(tmpl.phases)
 	p := &linkProfile{
-		topo: t, ok: true,
+		topo:  t,
 		off:   make([]int32, 1, n+1),
 		flows: make([]int32, 0, n),
 		travs: make([]int32, 0, n),
@@ -91,23 +89,10 @@ func (t *Topology) buildProfile(tmpl *PhaseTemplate) *linkProfile {
 			}
 		}
 		travs := int32(0)
-		ok := true
 		ph.forEachLink(func(i int, l Link) {
-			if !ok {
-				return
-			}
-			id := t.LinkID(l)
-			if id < 0 {
-				ok = false
-				return
-			}
-			s.msgCount[id]++
+			s.msgCount[t.routeLinkID(l)]++
 			travs++
 		})
-		if !ok {
-			p.ok = false
-			break
-		}
 		for id, c := range s.msgCount {
 			if c > 0 {
 				p.ids = append(p.ids, int32(id))
@@ -136,8 +121,8 @@ func repAdd(v float64, n int32) float64 {
 }
 
 // timePhaseProfiled evaluates phase ph of a profiled template with
-// every flow carrying scale bytes, bit-identical to
-// timePhase(phase, true, scale): per-link loads are the same repeated
+// every flow carrying scale bytes, bit-identical to Time on the phase
+// materialized at scale: per-link loads are the same repeated
 // additions, the bottleneck scan visits the same IDs in the same
 // ascending order with the same strictly-greater tie-break, and the
 // aggregate fields replicate their walk-order summation chains.
@@ -212,8 +197,8 @@ type LoweredSeq struct {
 // Phases run through the template's compiled SoA link profile (see
 // linkProfile), so pricing K candidate byte sizes against one template
 // costs K bottleneck scans over the touched links instead of K full
-// route walks with per-link scratch zeroing. Templates whose routes
-// leave the mesh fall back to the walking kernel.
+// route walks with per-link scratch zeroing. As with Time, every route
+// step must be a mesh link; compiling the profile panics otherwise.
 func (t *Topology) SeqTimeLowered(seq []LoweredSeq) PhaseTime {
 	var out PhaseTime
 	var worst float64
@@ -223,12 +208,7 @@ func (t *Topology) SeqTimeLowered(seq []LoweredSeq) PhaseTime {
 		}
 		prof := t.profileFor(ls.Tmpl)
 		for i := range ls.Tmpl.phases {
-			var pt PhaseTime
-			if prof.ok {
-				pt = t.timePhaseProfiled(prof, i, ls.Bytes)
-			} else {
-				pt = t.timePhase(ls.Tmpl.phases[i], true, ls.Bytes)
-			}
+			pt := t.timePhaseProfiled(prof, i, ls.Bytes)
 			out.Serialization += pt.Serialization
 			out.HopLatency += pt.HopLatency
 			out.TotalBytes += pt.TotalBytes

@@ -22,8 +22,10 @@ import (
 // historical implementation. Decisions are bit-identical — the dense
 // bottleneck scan walks link IDs in exactly the sorted (From, To)
 // order the map version sorted into, and per-accumulator float
-// summation order (flow order, then route order) is unchanged. Phases
-// with off-mesh routes (synthetic tests) fall back to the map path.
+// summation order (flow order, then route order) is unchanged. Every
+// route step must be a mesh link: accumulate panics on one that is not,
+// and once a phase has accumulated, its route steps index the
+// accumulators directly.
 type denseState struct {
 	t       *mesh.Topology
 	loads   []float64
@@ -34,16 +36,8 @@ type denseState struct {
 
 var densePool = sync.Pool{New: func() any { return new(denseState) }}
 
-// newDense returns pooled scratch for t, or nil when any route of p
-// steps between non-adjacent dies (the map fallback handles those).
-func newDense(t *mesh.Topology, p mesh.Phase) *denseState {
-	for _, f := range p.Flows {
-		for j := 0; j+1 < len(f.Route); j++ {
-			if t.LinkID(mesh.Link{From: f.Route[j], To: f.Route[j+1]}) < 0 {
-				return nil
-			}
-		}
-	}
+// newDense returns pooled scratch for t.
+func newDense(t *mesh.Topology) *denseState {
 	d := densePool.Get().(*denseState)
 	d.t = t
 	n := t.NumLinks()
@@ -60,10 +54,8 @@ func newDense(t *mesh.Topology, p mesh.Phase) *denseState {
 }
 
 func (d *denseState) release() {
-	if d != nil {
-		d.reset()
-		densePool.Put(d)
-	}
+	d.reset()
+	densePool.Put(d)
 }
 
 // reset clears only the touched entries.
@@ -75,15 +67,20 @@ func (d *denseState) reset() {
 	d.touched = d.touched[:0]
 }
 
-// accumulate recomputes the per-link loads of p. The optimizer's own
-// moves only ever produce mesh-adjacent routes, so the IDs stay valid
-// throughout an Optimize run.
+// accumulate recomputes the per-link loads of p, panicking on a route
+// step that is not a mesh link. The optimizer's own moves (multicast
+// trees, reversed routes, RouteWeighted detours) only ever produce mesh
+// links, so the IDs stay valid throughout an Optimize run.
 func (d *denseState) accumulate(p mesh.Phase) {
 	d.reset()
 	for i := range p.Flows {
 		f := &p.Flows[i]
 		for j := 0; j+1 < len(f.Route); j++ {
-			id := d.t.LinkID(mesh.Link{From: f.Route[j], To: f.Route[j+1]})
+			l := mesh.Link{From: f.Route[j], To: f.Route[j+1]}
+			id := d.t.LinkID(l)
+			if id < 0 {
+				panic(fmt.Sprintf("tcme: flow %d (%s) route step %v is not a mesh link", i, f.Payload, l))
+			}
 			if d.cnt[id] == 0 {
 				d.touched = append(d.touched, int32(id))
 			}
@@ -93,8 +90,8 @@ func (d *denseState) accumulate(p mesh.Phase) {
 	}
 }
 
-// maxLoad mirrors Phase.MaxLoad: the most loaded link, ties broken by
-// ascending (From, To) — which is ascending link ID.
+// maxLoad returns the most loaded link of p and its load, ties broken
+// by ascending (From, To) — which is ascending link ID.
 func (d *denseState) maxLoad(p mesh.Phase) (mesh.Link, float64) {
 	d.accumulate(p)
 	var (
@@ -113,7 +110,7 @@ func (d *denseState) maxLoad(p mesh.Phase) (mesh.Link, float64) {
 	return best, bestLoad
 }
 
-// potential mirrors phasePotential on the dense accumulators.
+// potential computes p's potential on the dense accumulators.
 func (d *denseState) potential(p mesh.Phase) potential {
 	d.accumulate(p)
 	var pot potential
@@ -180,17 +177,11 @@ func Optimize(t *mesh.Topology, p mesh.Phase, opts Options) Result {
 	}
 	cur := clonePhase(p)
 	res := Result{}
-	d := newDense(t, cur)
-	maxLoad := func() (mesh.Link, float64) {
-		if d != nil {
-			return d.maxLoad(cur)
-		}
-		return cur.MaxLoad()
-	}
-	_, res.InitialMaxLoad = maxLoad()
+	d := newDense(t)
+	_, res.InitialMaxLoad = d.maxLoad(cur)
 
 	for iter := 0; iter < maxIter; iter++ {
-		mcl, load := maxLoad()
+		mcl, load := d.maxLoad(cur)
 		if load <= 0 {
 			break
 		}
@@ -203,7 +194,7 @@ func Optimize(t *mesh.Topology, p mesh.Phase, opts Options) Result {
 			res.MergedFlows += merged
 			moves += merged
 			if merged > 0 {
-				mcl, _ = maxLoad()
+				mcl, _ = d.maxLoad(cur)
 				hot = hotFlowIdx(cur, mcl)
 			}
 		}
@@ -212,7 +203,7 @@ func Optimize(t *mesh.Topology, p mesh.Phase, opts Options) Result {
 			res.ReroutedFlows += rev
 			moves += rev
 			if rev > 0 {
-				mcl, _ = maxLoad()
+				mcl, _ = d.maxLoad(cur)
 				hot = hotFlowIdx(cur, mcl)
 			}
 			rr := reroute(t, &cur, hot, d)
@@ -224,7 +215,7 @@ func Optimize(t *mesh.Topology, p mesh.Phase, opts Options) Result {
 		}
 	}
 	res.Phase = cur
-	_, res.FinalMaxLoad = maxLoad()
+	_, res.FinalMaxLoad = d.maxLoad(cur)
 	d.release()
 	return res
 }
@@ -378,26 +369,6 @@ type potential struct {
 	count int
 }
 
-func phasePotential(p mesh.Phase) potential {
-	loads := p.Loads()
-	var pot potential
-	for _, v := range loads {
-		if v > pot.max {
-			pot.max = v
-		}
-	}
-	if pot.max == 0 {
-		return pot
-	}
-	thresh := pot.max * (1 - 1e-9)
-	for _, v := range loads {
-		if v >= thresh {
-			pot.count++
-		}
-	}
-	return pot
-}
-
 // less reports whether a is strictly better (lower) than b.
 func (a potential) less(b potential) bool {
 	if a.max < b.max*(1-1e-12) {
@@ -432,43 +403,21 @@ func groupKey(payload string) string {
 // accepted when it strictly decreases the phase potential. Returns
 // the number of flipped flows.
 func reverseGroups(t *mesh.Topology, p *mesh.Phase, d *denseState) int {
-	var cur potential
-	if d != nil {
-		cur = d.potential(*p)
-	} else {
-		cur = phasePotential(*p)
-	}
+	cur := d.potential(*p)
 	if cur.max <= 0 {
 		return 0
 	}
 	thresh := cur.max * (1 - 1e-9)
-	// Mark bottleneck-level links: the dense path uses the hot bitmap,
-	// the fallback a link set.
-	var hotLinks map[mesh.Link]bool
-	if d != nil {
-		// d.loads still holds p's accumulation from potential above.
-		for _, id := range d.touched {
-			if d.loads[id] >= thresh {
-				d.hot[id] = true
-			}
-		}
-	} else {
-		loads := p.Loads()
-		hotLinks = map[mesh.Link]bool{}
-		for l, v := range loads {
-			if v >= thresh {
-				hotLinks[l] = true
-			}
+	// Mark bottleneck-level links in the hot bitmap; d.loads still holds
+	// p's accumulation from potential above.
+	for _, id := range d.touched {
+		if d.loads[id] >= thresh {
+			d.hot[id] = true
 		}
 	}
 	crossesHot := func(r mesh.Path) bool {
 		for j := 0; j+1 < len(r); j++ {
-			l := mesh.Link{From: r[j], To: r[j+1]}
-			if d != nil {
-				if d.hot[t.LinkID(l)] {
-					return true
-				}
-			} else if hotLinks[l] {
+			if d.hot[t.LinkID(mesh.Link{From: r[j], To: r[j+1]})] {
 				return true
 			}
 		}
@@ -496,12 +445,10 @@ func reverseGroups(t *mesh.Topology, p *mesh.Phase, d *denseState) int {
 			keys = append(keys, k)
 		}
 	}
-	if d != nil {
-		// Clear the bitmap before candidate evaluation re-accumulates
-		// (and re-populates touched with) candidate state.
-		for _, id := range d.touched {
-			d.hot[id] = false
-		}
+	// Clear the bitmap before candidate evaluation re-accumulates (and
+	// re-populates touched with) candidate state.
+	for _, id := range d.touched {
+		d.hot[id] = false
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
@@ -525,13 +472,7 @@ func reverseGroups(t *mesh.Topology, p *mesh.Phase, d *denseState) int {
 		if !ok {
 			continue
 		}
-		var pot potential
-		if d != nil {
-			pot = d.potential(candidate)
-		} else {
-			pot = phasePotential(candidate)
-		}
-		if pot.less(cur) {
+		if d.potential(candidate).less(cur) {
 			*p = candidate
 			// One flip per iteration: re-evaluate from the new
 			// bottleneck next round.
@@ -552,80 +493,36 @@ func reroute(t *mesh.Topology, p *mesh.Phase, hot []int, d *denseState) int {
 		if f.Src == f.Dst || f.Route.Hops() == 0 {
 			continue
 		}
-		if d != nil {
-			cur := d.potential(*p)
-			// Remove this flow's own contribution so the weight
-			// reflects the load it would join.
-			for j := 0; j+1 < len(f.Route); j++ {
-				d.loads[t.LinkID(mesh.Link{From: f.Route[j], To: f.Route[j+1]})] -= f.Bytes
-			}
-			var norm float64
-			for _, id := range d.touched {
-				if d.loads[id] > norm {
-					norm = d.loads[id]
-				}
-			}
-			if norm <= 0 {
-				norm = 1
-			}
-			alt := t.RouteWeighted(f.Src, f.Dst, func(l mesh.Link) float64 {
-				return 4 * d.loads[t.LinkID(l)] / norm
-			})
-			if alt == nil || samePath(alt, f.Route) {
-				continue
-			}
-			old := f.Route
-			p.Flows[i].Route = alt
-			if d.potential(*p).less(cur) {
-				count++
-			} else {
-				p.Flows[i].Route = old
-			}
-			continue
-		}
-		cur := phasePotential(*p)
-		loads := p.Loads()
+		cur := d.potential(*p)
 		// Remove this flow's own contribution so the weight reflects
 		// the load it would join.
-		for _, l := range f.Route.Links() {
-			loads[l] -= f.Bytes
+		for j := 0; j+1 < len(f.Route); j++ {
+			d.loads[t.LinkID(mesh.Link{From: f.Route[j], To: f.Route[j+1]})] -= f.Bytes
 		}
 		var norm float64
-		for _, v := range loads {
-			if v > norm {
-				norm = v
+		for _, id := range d.touched {
+			if d.loads[id] > norm {
+				norm = d.loads[id]
 			}
 		}
 		if norm <= 0 {
 			norm = 1
 		}
 		alt := t.RouteWeighted(f.Src, f.Dst, func(l mesh.Link) float64 {
-			return 4 * loads[l] / norm
+			return 4 * d.loads[t.LinkID(l)] / norm
 		})
 		if alt == nil || samePath(alt, f.Route) {
 			continue
 		}
 		old := f.Route
 		p.Flows[i].Route = alt
-		if phasePotential(*p).less(cur) {
+		if d.potential(*p).less(cur) {
 			count++
 		} else {
 			p.Flows[i].Route = old
 		}
 	}
 	return count
-}
-
-// worstAlong is retained for diagnostics: the highest link load a
-// flow of the given size would see along a route.
-func worstAlong(loads mesh.LinkLoads, route mesh.Path, bytes float64) float64 {
-	var worst float64
-	for _, l := range route.Links() {
-		if v := loads[l] + bytes; v > worst {
-			worst = v
-		}
-	}
-	return worst
 }
 
 func samePath(a, b mesh.Path) bool {

@@ -1,6 +1,7 @@
 package tcme
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -199,4 +200,86 @@ func TestImprovementZeroFinal(t *testing.T) {
 	if r.Improvement() != 1 {
 		t.Errorf("degenerate improvement = %v, want 1", r.Improvement())
 	}
+}
+
+// refMaxLoad is the map-keyed reference bottleneck load: the largest
+// per-link load of p.Loads().
+func refMaxLoad(p mesh.Phase) float64 {
+	var m float64
+	for _, v := range p.Loads() {
+		if v > m {
+			m = v
+		}
+	}
+	return m
+}
+
+// TestDenseLoadsMatchReference checks the optimizer's dense link-load
+// accumulators against the independent map computation: for lowered
+// hybrid-parallel collectives on a healthy 4×8 mesh and on a faulted
+// clone, the reported initial and final bottleneck loads must equal
+// the map reference over the input and output phases bit for bit.
+func TestDenseLoadsMatchReference(t *testing.T) {
+	healthy := topo(4, 8)
+	faulted := healthy.Clone()
+	faulted.SetLinkAlive(mesh.Link{From: 1, To: 2}, false)
+	faulted.SetLinkAlive(mesh.Link{From: 9, To: 17}, false)
+	for name, tp := range map[string]*mesh.Topology{"healthy": healthy, "faulted": faulted} {
+		seqs := [][]mesh.Phase{
+			collective.RingAllGather(tp, []mesh.DieID{0, 1, 9, 8}, 16*unit.MB),
+			collective.RingAllReduce(tp, []mesh.DieID{2, 3, 4, 5}, 24*unit.MB),
+			collective.P2PChain(tp, []mesh.DieID{16, 1, 24, 10}, 8*unit.MB, "tatp"),
+			collective.Broadcast(tp, 12, []mesh.DieID{13, 20, 28, 14}, 4*unit.MB, "w"),
+			collective.AllToAll(tp, []mesh.DieID{6, 7, 14, 15}, 2*unit.MB),
+			// Fig. 5(b)'s colliding pair: 0→2 and 1→3 share 1→2 under XY.
+			collective.P2PChain(tp, []mesh.DieID{0, 2}, 32*unit.MB, "x"),
+			collective.P2PChain(tp, []mesh.DieID{1, 3}, 32*unit.MB, "y"),
+		}
+		// Each collective alone, then all of them merged concurrently.
+		var phases []mesh.Phase
+		for _, seq := range seqs {
+			phases = append(phases, seq...)
+		}
+		phases = append(phases, collective.Merge(seqs...)...)
+		improved := 0
+		for i, ph := range phases {
+			res := Optimize(tp, ph, Options{})
+			if want := refMaxLoad(ph); res.InitialMaxLoad != want {
+				t.Errorf("%s phase %d: InitialMaxLoad = %v, reference %v", name, i, res.InitialMaxLoad, want)
+			}
+			if want := refMaxLoad(res.Phase); res.FinalMaxLoad != want {
+				t.Errorf("%s phase %d: FinalMaxLoad = %v, reference %v", name, i, res.FinalMaxLoad, want)
+			}
+			if err := tp.ValidatePhase(res.Phase); err != nil {
+				t.Fatalf("%s phase %d: %v", name, i, err)
+			}
+			if res.FinalMaxLoad < res.InitialMaxLoad {
+				improved++
+			}
+		}
+		if improved == 0 {
+			t.Errorf("%s: optimizer changed no bottleneck; the final-load check is vacuous", name)
+		}
+	}
+}
+
+// TestOptimizeRejectsOffMesh pins the route invariant: a route step
+// between non-adjacent dies is a caller bug, and the optimizer panics
+// naming the link instead of pricing it.
+func TestOptimizeRejectsOffMesh(t *testing.T) {
+	tp := topo(4, 8)
+	p := mesh.Phase{Flows: []mesh.Flow{
+		flow(tp, 0, 2, unit.MB, "ok"),
+		{Src: 0, Dst: 9, Bytes: unit.MB, Route: mesh.Path{0, 9}, Payload: "bad"},
+	}}
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("Optimize accepted an off-mesh route")
+		}
+		if msg, want := fmt.Sprint(r), (mesh.Link{From: 0, To: 9}).String(); !strings.Contains(msg, want) {
+			t.Errorf("panic %q does not name the link %s", msg, want)
+		}
+	}()
+	Optimize(tp, p, Options{})
 }
