@@ -96,6 +96,11 @@ type output struct {
 	LoweringTemplates int   `json:"lowering_templates,omitempty"`
 	LoweringHits      int64 `json:"lowering_hits,omitempty"`
 	LoweringMisses    int64 `json:"lowering_misses,omitempty"`
+	// TCME memo counters: optimized (template, bytes, options) entries
+	// stored, and lookups that replayed one or ran the optimizer.
+	TCMEMemoEntries int   `json:"tcme_memo_entries,omitempty"`
+	TCMEMemoHits    int64 `json:"tcme_memo_hits,omitempty"`
+	TCMEMemoMisses  int64 `json:"tcme_memo_misses,omitempty"`
 	// Distributed-run telemetry: the -distribute worker count and the
 	// fabric's per-worker throughput / steal counters. The engine
 	// cache counters above aggregate coordinator + workers.
@@ -194,12 +199,17 @@ func (o output) withEngineStats(s engine.Stats) output {
 	return o
 }
 
-// withLoweringStats stamps the collective lowering-cache counters.
+// withLoweringStats stamps the collective lowering-cache and TCME memo
+// counters.
 func (o output) withLoweringStats() output {
 	ls := collective.CacheStats()
 	o.LoweringTemplates = ls.Templates
 	o.LoweringHits = ls.Hits
 	o.LoweringMisses = ls.Misses
+	ts := cost.TCMEMemoStats()
+	o.TCMEMemoEntries = ts.Entries
+	o.TCMEMemoHits = ts.Hits
+	o.TCMEMemoMisses = ts.Misses
 	return o
 }
 

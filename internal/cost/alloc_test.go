@@ -9,14 +9,15 @@ import (
 	"temp/internal/parallel"
 )
 
-// TestEvaluateSteadyStateAllocs pins the analytic hot path's
+// TestEvaluateSteadyStateAllocs pins the pricing hot path's
 // allocation budget. After the first evaluation warms the interned
 // topology's derived caches (placement, orchestrations, compiled
-// lowering templates), a GMap/SMap evaluation runs in a handful of
-// allocations (currently 8: the evaluator itself and a few template
-// sequence headers) — the regression guard leaves headroom but
-// catches any return of the per-evaluation map/route churn, which
-// cost thousands.
+// lowering templates and, for the TEMP engine, the TCME memo), a
+// GMap/SMap evaluation runs in a handful of allocations (currently 4:
+// the evaluator itself and a few template sequence headers) and a
+// TEMP one in twice that, one set per placement family — the
+// regression guard leaves headroom but catches any return of the
+// per-evaluation map/route churn, which cost thousands.
 func TestEvaluateSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -31,6 +32,7 @@ func TestEvaluateSteadyStateAllocs(t *testing.T) {
 	}{
 		{"GMap", cost.GMap, 32},
 		{"SMap", cost.SMap, 32},
+		{"TEMP (TCME)", cost.TCMEEngine, 32},
 	} {
 		o := cost.TEMPOptions()
 		o.Engine = tc.engine

@@ -120,6 +120,11 @@ type evalState struct {
 	mu     sync.Mutex
 	stream *mesh.PhaseTemplate
 	coll   map[collKey]collTemplate
+
+	// tcme memoizes the TCME optimizer over those templates: the
+	// topology's memo for states stateFor caches, a private one for
+	// evaluateOn's, nil (optimize every time) otherwise.
+	tcme *tcmeMemo
 }
 
 // Ring-collective kinds the evaluator lowers through merged templates.
@@ -239,7 +244,9 @@ func stateFor(topo *mesh.Topology, cfg parallel.Config, linear, tcmeOrders bool)
 		if err != nil {
 			return &evalState{err: err}
 		}
-		return newEvalState(topo, place, tcmeOrders)
+		st := newEvalState(topo, place, tcmeOrders)
+		st.tcme = tcmeMemoOf(topo)
+		return st
 	}).(*evalState)
 	return st, st.err
 }
@@ -309,16 +316,41 @@ func (ev *evaluator) merge(seqs ...[]mesh.Phase) []mesh.Phase {
 	return collective.MergeFlows(seqs...)
 }
 
-// evalLowered times a scaled-template sequence: the TCME path
-// materializes real phases for the optimizer to mutate; the analytic
-// path evaluates the templates in place, allocation-free.
+// evalLowered times a scaled-template sequence. The analytic path
+// evaluates the templates in place, allocation-free. The TCME path
+// replays each template's memoized optimizer result phase by phase, in
+// sequence order — bit-identical to evalPhases on the materialized
+// sequence, because the sums below follow the same per-phase order as
+// OptimizeAll's aggregate and SeqTime's totals.
 func (ev *evaluator) evalLowered(seq []mesh.LoweredSeq) float64 {
-	if ev.needTCME() {
-		return ev.evalPhases(mesh.MaterializeSeq(seq))
+	if !ev.needTCME() {
+		pt := ev.topo.SeqTimeLowered(seq)
+		ev.linkBytes += pt.LinkBytes
+		return pt.Total()
 	}
-	pt := ev.topo.SeqTimeLowered(seq)
-	ev.linkBytes += pt.LinkBytes
-	return pt.Total()
+	var ser, hop, linkBytes, initialMax, finalMax float64
+	for _, ls := range seq {
+		if ls.Tmpl == nil {
+			continue
+		}
+		e := ev.st.tcme.optimized(ev.topo, ls, ev.o.TCME)
+		for _, r := range e.runs {
+			for k := int32(0); k < r.n; k++ {
+				ser += r.ser
+				hop += r.hop
+				linkBytes += r.linkBytes
+				initialMax += r.initialMax
+				finalMax += r.finalMax
+			}
+		}
+		ev.tcmeAgg.Iterations += int(e.iterations)
+		ev.tcmeAgg.MergedFlows += int(e.merged)
+		ev.tcmeAgg.ReroutedFlows += int(e.rerouted)
+	}
+	ev.tcmeAgg.InitialMaxLoad += initialMax
+	ev.tcmeAgg.FinalMaxLoad += finalMax
+	ev.linkBytes += linkBytes
+	return ser + hop
 }
 
 // Evaluate runs the cost model for one model/wafer/config triple.
@@ -392,11 +424,13 @@ func EvaluateOn(m model.Config, w hw.Wafer, cfg parallel.Config, o Options,
 
 // evaluateOn lowers an externally supplied placement (fault studies)
 // and prices it; the lowering state is built fresh because the caller
-// owns the placement.
+// owns the placement. Its templates die with this evaluation, so its
+// TCME memo is private to it.
 func evaluateOn(m model.Config, w hw.Wafer, cfg parallel.Config, o Options,
 	topo *mesh.Topology, place *parallel.Placement, replay bool) (Breakdown, error) {
 	cfg = cfg.Normalize()
 	st := newEvalState(topo, place, o.Engine == TCMEEngine)
+	st.tcme = new(tcmeMemo)
 	return evaluateState(m, w, cfg, o, topo, st, replay)
 }
 

@@ -246,7 +246,7 @@ func MulticastTree(t *Topology, src DieID, dsts []DieID, bytes float64, payload 
 				break
 			}
 			// Shortest path from d to the current tree.
-			p := t.RouteWeighted(d, src, func(l Link) float64 { return 0 })
+			p := t.RouteWeighted(d, src, nil)
 			// Trim at first tree node.
 			for j, node := range p {
 				if inTree[node] {

@@ -488,10 +488,11 @@ func (s *routeScratch) grab(n int) {
 }
 
 // RouteWeighted returns a minimum-cost path from src to dst where the
-// cost of traversing link l is 1 + weight(l). Dead links and dies are
+// cost of traversing the link with canonical ID id is 1 + weight[id]
+// (a nil weight means unit cost everywhere). Dead links and dies are
 // skipped, so it doubles as the fault-aware router. Returns nil when
 // dst is unreachable.
-func (t *Topology) RouteWeighted(src, dst DieID, weight func(Link) float64) Path {
+func (t *Topology) RouteWeighted(src, dst DieID, weight []float64) Path {
 	if !t.DieAlive(src) || !t.DieAlive(dst) {
 		return nil
 	}
@@ -531,13 +532,13 @@ func (t *Topology) RouteWeighted(src, dst DieID, weight func(Link) float64) Path
 				continue
 			}
 			nb := t.ID(nc)
-			l := Link{best, nb}
-			if !t.DieAlive(nb) || !t.LinkAlive(l) {
+			id := t.LinkID(Link{best, nb})
+			if !t.DieAlive(nb) || id < 0 || !t.linkAlive[id] {
 				continue
 			}
 			w := 1.0
 			if weight != nil {
-				w += weight(l)
+				w += weight[id]
 			}
 			if nd := dist[best] + w; nd < dist[nb] {
 				dist[nb] = nd

@@ -116,12 +116,9 @@ func TestRouteWeightedAvoidsLoadedLink(t *testing.T) {
 	tp := grid(4, 4)
 	src, dst := DieID(0), DieID(3)
 	hot := Link{1, 2} // on the XY route 0→1→2→3
-	p := tp.RouteWeighted(src, dst, func(l Link) float64 {
-		if l == hot {
-			return 100
-		}
-		return 0
-	})
+	weight := make([]float64, tp.NumLinks())
+	weight[tp.LinkID(hot)] = 100
+	p := tp.RouteWeighted(src, dst, weight)
 	if !p.Valid(tp) {
 		t.Fatal("weighted route invalid")
 	}

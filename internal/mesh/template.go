@@ -191,8 +191,9 @@ type LoweredSeq struct {
 // exactly as SeqTime would evaluate the materialized concatenation —
 // same phase order, same per-accumulator float summation order — but
 // without materializing anything. This is the zero-allocation
-// collective path of the analytic cost model; the TCME path still
-// materializes (MaterializeSeq) because the optimizer mutates phases.
+// collective path of the analytic cost model. The TCME path prices the
+// same sequences through the cost package's TCME memo, which
+// materializes a template only when it first optimizes it.
 //
 // Phases run through the template's compiled SoA link profile (see
 // linkProfile), so pricing K candidate byte sizes against one template
@@ -227,7 +228,9 @@ func (t *Topology) SeqTimeLowered(seq []LoweredSeq) PhaseTime {
 }
 
 // MaterializeSeq concatenates the materialized phases of a scaled
-// template sequence, in order.
+// template sequence, in order. No pricing path needs the concatenation;
+// it is the reference that SeqTimeLowered and the TCME memo's replay
+// are tested against.
 func MaterializeSeq(seq []LoweredSeq) []Phase {
 	var out []Phase
 	for _, ls := range seq {

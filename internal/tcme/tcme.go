@@ -10,7 +10,8 @@ package tcme
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"temp/internal/mesh"
@@ -26,15 +27,43 @@ import (
 // route step must be a mesh link: accumulate panics on one that is not,
 // and once a phase has accumulated, its route steps index the
 // accumulators directly.
+//
+// The remaining fields pool the working sets of the moves, so a cold
+// Optimize allocates little beyond the phase it returns: accepted
+// flips, RouteWeighted detours and multicast trees.
 type denseState struct {
 	t       *mesh.Topology
 	loads   []float64
 	cnt     []int32
 	touched []int32
 	hot     []bool
+	// weight is reroute's per-link detour cost, indexed by link ID;
+	// zero outside the links it is filling.
+	weight []float64
+	// hotIdx backs hotFlowIdx's result.
+	hotIdx []int
+	// rev is the arena reverseGroups writes one candidate group's
+	// reversed routes into; flow flip[k]'s route is
+	// rev[revOff[k]:revOff[k+1]].
+	rev    []mesh.DieID
+	revOff []int32
+	// tag, byTag and runs group flows by collective-instance tag for
+	// reverseGroups.
+	tag   []string
+	byTag []int32
+	runs  [][2]int32
+	// groupAt, groups, merging, removed and dsts are mergeDuplicates'
+	// grouping scratch.
+	groupAt map[mergeKey]int32
+	groups  []mergeGroup
+	merging []int32
+	removed []bool
+	dsts    []mesh.DieID
 }
 
-var densePool = sync.Pool{New: func() any { return new(denseState) }}
+var densePool = sync.Pool{New: func() any {
+	return &denseState{groupAt: make(map[mergeKey]int32)}
+}}
 
 // newDense returns pooled scratch for t.
 func newDense(t *mesh.Topology) *denseState {
@@ -45,10 +74,12 @@ func newDense(t *mesh.Topology) *denseState {
 		d.loads = make([]float64, n)
 		d.cnt = make([]int32, n)
 		d.hot = make([]bool, n)
+		d.weight = make([]float64, n)
 	}
 	d.loads = d.loads[:n]
 	d.cnt = d.cnt[:n]
 	d.hot = d.hot[:n]
+	d.weight = d.weight[:n]
 	d.touched = d.touched[:0]
 	return d
 }
@@ -71,12 +102,23 @@ func (d *denseState) reset() {
 // step that is not a mesh link. The optimizer's own moves (multicast
 // trees, reversed routes, RouteWeighted detours) only ever produce mesh
 // links, so the IDs stay valid throughout an Optimize run.
-func (d *denseState) accumulate(p mesh.Phase) {
+//
+// flip lists flows, in ascending index order, whose routes are taken
+// from the reversal arena instead of the phase: the loads of a
+// candidate flip accumulate in the same flow and route order as they
+// would on a copy of the phase with those routes replaced.
+func (d *denseState) accumulate(p mesh.Phase, flip []int32) {
 	d.reset()
+	k := 0
 	for i := range p.Flows {
 		f := &p.Flows[i]
-		for j := 0; j+1 < len(f.Route); j++ {
-			l := mesh.Link{From: f.Route[j], To: f.Route[j+1]}
+		r := f.Route
+		if k < len(flip) && int(flip[k]) == i {
+			r = d.rev[d.revOff[k]:d.revOff[k+1]]
+			k++
+		}
+		for j := 0; j+1 < len(r); j++ {
+			l := mesh.Link{From: r[j], To: r[j+1]}
 			id := d.t.LinkID(l)
 			if id < 0 {
 				panic(fmt.Sprintf("tcme: flow %d (%s) route step %v is not a mesh link", i, f.Payload, l))
@@ -93,7 +135,7 @@ func (d *denseState) accumulate(p mesh.Phase) {
 // maxLoad returns the most loaded link of p and its load, ties broken
 // by ascending (From, To) — which is ascending link ID.
 func (d *denseState) maxLoad(p mesh.Phase) (mesh.Link, float64) {
-	d.accumulate(p)
+	d.accumulate(p, nil)
 	var (
 		best     mesh.Link
 		bestLoad float64
@@ -110,9 +152,10 @@ func (d *denseState) maxLoad(p mesh.Phase) (mesh.Link, float64) {
 	return best, bestLoad
 }
 
-// potential computes p's potential on the dense accumulators.
-func (d *denseState) potential(p mesh.Phase) potential {
-	d.accumulate(p)
+// potential computes p's potential on the dense accumulators, with the
+// flows in flip rerouted as accumulate describes.
+func (d *denseState) potential(p mesh.Phase, flip []int32) potential {
+	d.accumulate(p, flip)
 	var pot potential
 	for _, id := range d.touched {
 		if d.loads[id] > pot.max {
@@ -178,24 +221,23 @@ func Optimize(t *mesh.Topology, p mesh.Phase, opts Options) Result {
 	cur := clonePhase(p)
 	res := Result{}
 	d := newDense(t)
-	_, res.InitialMaxLoad = d.maxLoad(cur)
+	mcl, load := d.maxLoad(cur)
+	res.InitialMaxLoad = load
 
-	for iter := 0; iter < maxIter; iter++ {
-		mcl, load := d.maxLoad(cur)
-		if load <= 0 {
-			break
-		}
+	// load always holds cur's bottleneck: an iteration without moves
+	// leaves cur untouched, so it is also the final load.
+	for iter := 0; iter < maxIter && load > 0; iter++ {
 		res.Iterations++
 		moves := 0
-		hot := hotFlowIdx(cur, mcl)
+		hot := d.hotFlowIdx(cur, mcl)
 
 		if !opts.DisableMerge {
-			merged := mergeDuplicates(t, &cur, hot)
+			merged := mergeDuplicates(t, &cur, hot, d)
 			res.MergedFlows += merged
 			moves += merged
 			if merged > 0 {
 				mcl, _ = d.maxLoad(cur)
-				hot = hotFlowIdx(cur, mcl)
+				hot = d.hotFlowIdx(cur, mcl)
 			}
 		}
 		if !opts.DisableReroute {
@@ -204,7 +246,7 @@ func Optimize(t *mesh.Topology, p mesh.Phase, opts Options) Result {
 			moves += rev
 			if rev > 0 {
 				mcl, _ = d.maxLoad(cur)
-				hot = hotFlowIdx(cur, mcl)
+				hot = d.hotFlowIdx(cur, mcl)
 			}
 			rr := reroute(t, &cur, hot, d)
 			res.ReroutedFlows += rr
@@ -213,9 +255,10 @@ func Optimize(t *mesh.Topology, p mesh.Phase, opts Options) Result {
 		if moves == 0 {
 			break
 		}
+		mcl, load = d.maxLoad(cur)
 	}
 	res.Phase = cur
-	_, res.FinalMaxLoad = d.maxLoad(cur)
+	res.FinalMaxLoad = load
 	d.release()
 	return res
 }
@@ -244,9 +287,10 @@ func clonePhase(p mesh.Phase) mesh.Phase {
 }
 
 // hotFlowIdx returns the indices of flows crossing the given link,
-// largest first (deterministic).
-func hotFlowIdx(p mesh.Phase, l mesh.Link) []int {
-	var idx []int
+// largest first (deterministic). The slice is d's scratch, valid until
+// the next call.
+func (d *denseState) hotFlowIdx(p mesh.Phase, l mesh.Link) []int {
+	idx := d.hotIdx[:0]
 	for i := range p.Flows {
 		r := p.Flows[i].Route
 		for j := 0; j+1 < len(r); j++ {
@@ -256,93 +300,111 @@ func hotFlowIdx(p mesh.Phase, l mesh.Link) []int {
 			}
 		}
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		fa, fb := p.Flows[idx[a]], p.Flows[idx[b]]
-		if fa.Bytes != fb.Bytes {
-			return fa.Bytes > fb.Bytes
+	slices.SortFunc(idx, func(a, b int) int {
+		if fa, fb := p.Flows[a].Bytes, p.Flows[b].Bytes; fa != fb {
+			if fa > fb {
+				return -1
+			}
+			return 1
 		}
-		return idx[a] < idx[b]
+		return a - b
 	})
+	d.hotIdx = idx
 	return idx
+}
+
+// mergeKey identifies a datum: one payload sent from one source.
+type mergeKey struct {
+	src     mesh.DieID
+	payload string
+}
+
+// mergeGroup is the flows carrying one datum.
+type mergeGroup struct {
+	key  mergeKey
+	flow []int
 }
 
 // mergeDuplicates finds groups of hot flows that carry the same
 // payload from the same source to different destinations and replaces
 // each group (across the whole phase) with a multicast tree. Returns
 // the number of unicast flows eliminated.
-func mergeDuplicates(t *mesh.Topology, p *mesh.Phase, hot []int) int {
-	type key struct {
-		src     mesh.DieID
-		payload string
-	}
-	groups := map[key][]int{}
+func mergeDuplicates(t *mesh.Topology, p *mesh.Phase, hot []int, d *denseState) int {
+	clear(d.groupAt)
+	d.groups = d.groups[:0]
 	for _, i := range hot {
-		f := p.Flows[i]
+		f := &p.Flows[i]
 		if f.Payload == "" {
 			continue
 		}
-		k := key{f.Src, f.Payload}
-		groups[k] = append(groups[k], i)
+		k := mergeKey{f.Src, f.Payload}
+		g, ok := d.groupAt[k]
+		if !ok {
+			g = d.newGroup(k)
+		}
+		d.groups[g].flow = append(d.groups[g].flow, i)
 	}
 	// Extend each group with same-key flows elsewhere in the phase.
-	for i, f := range p.Flows {
+	for i := range p.Flows {
+		f := &p.Flows[i]
 		if f.Payload == "" {
 			continue
 		}
-		k := key{f.Src, f.Payload}
-		if g, ok := groups[k]; ok && !contains(g, i) {
-			groups[k] = append(groups[k], i)
+		if g, ok := d.groupAt[mergeKey{f.Src, f.Payload}]; ok && !slices.Contains(d.groups[g].flow, i) {
+			d.groups[g].flow = append(d.groups[g].flow, i)
 		}
 	}
-	keys := make([]key, 0, len(groups))
-	for k, g := range groups {
-		if len(g) > 1 {
-			keys = append(keys, k)
+	d.merging = d.merging[:0]
+	for g := range d.groups {
+		if len(d.groups[g].flow) > 1 {
+			d.merging = append(d.merging, int32(g))
 		}
 	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a].src != keys[b].src {
-			return keys[a].src < keys[b].src
-		}
-		return keys[a].payload < keys[b].payload
-	})
-	if len(keys) == 0 {
+	if len(d.merging) == 0 {
 		return 0
 	}
-	removed := map[int]bool{}
+	slices.SortFunc(d.merging, func(a, b int32) int {
+		ka, kb := &d.groups[a].key, &d.groups[b].key
+		if ka.src != kb.src {
+			return int(ka.src) - int(kb.src)
+		}
+		return strings.Compare(ka.payload, kb.payload)
+	})
+	d.removed = slices.Grow(d.removed[:0], len(p.Flows))[:len(p.Flows)]
+	clear(d.removed)
 	var added []mesh.Flow
 	merged := 0
-	for _, k := range keys {
-		g := groups[k]
-		var dsts []mesh.DieID
-		bytes := p.Flows[g[0]].Bytes
+	for _, gi := range d.merging {
+		g := &d.groups[gi]
+		bytes := p.Flows[g.flow[0]].Bytes
+		d.dsts = d.dsts[:0]
 		uniform := true
-		for _, i := range g {
+		for _, i := range g.flow {
 			if p.Flows[i].Bytes != bytes {
 				uniform = false
 				break
 			}
-			dsts = append(dsts, p.Flows[i].Dst)
+			d.dsts = append(d.dsts, p.Flows[i].Dst)
 		}
 		if !uniform {
 			continue // different sizes ⇒ not the same datum
 		}
-		tree := mesh.MulticastTree(t, k.src, dsts, bytes, k.payload)
+		tree := mesh.MulticastTree(t, g.key.src, d.dsts, bytes, g.key.payload)
 		if len(tree) == 0 {
 			continue
 		}
-		for _, i := range g {
-			removed[i] = true
+		for _, i := range g.flow {
+			d.removed[i] = true
 		}
 		added = append(added, tree...)
-		merged += len(g) - 1
+		merged += len(g.flow) - 1
 	}
 	if merged == 0 {
 		return 0
 	}
 	var flows []mesh.Flow
 	for i, f := range p.Flows {
-		if !removed[i] {
+		if !d.removed[i] {
 			flows = append(flows, f)
 		}
 	}
@@ -350,13 +412,18 @@ func mergeDuplicates(t *mesh.Topology, p *mesh.Phase, hot []int) int {
 	return merged
 }
 
-func contains(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
+// newGroup appends an empty group for k, reusing a previous call's
+// flow slice when one is there.
+func (d *denseState) newGroup(k mergeKey) int32 {
+	g := len(d.groups)
+	if g < cap(d.groups) {
+		d.groups = d.groups[:g+1]
+		d.groups[g] = mergeGroup{k, d.groups[g].flow[:0]}
+	} else {
+		d.groups = append(d.groups, mergeGroup{key: k})
 	}
-	return false
+	d.groupAt[k] = int32(g)
+	return int32(g)
 }
 
 // potential is the lexicographic objective the optimizer drives
@@ -399,11 +466,17 @@ func groupKey(payload string) string {
 // (D3→D2→… becomes D2→D3→…) moves it onto the opposite-direction
 // links. Candidate groups are those crossing any link at the current
 // maximum load (symmetric scenarios have several co-equal bottleneck
-// links and the profitable flip may sit on any of them). A flip is
-// accepted when it strictly decreases the phase potential. Returns
-// the number of flipped flows.
+// links and the profitable flip may sit on any of them), tried in
+// ascending tag order. A flip is accepted when it strictly decreases
+// the phase potential. Returns the number of flipped flows.
+//
+// Candidates are priced without copying the phase: the group's
+// reversed routes go to d's arena and accumulate reads them in place
+// of the originals. Only an accepted flip allocates its routes; the
+// originals are never reversed in place, because they share the
+// lowering template's backing array.
 func reverseGroups(t *mesh.Topology, p *mesh.Phase, d *denseState) int {
-	cur := d.potential(*p)
+	cur := d.potential(*p, nil)
 	if cur.max <= 0 {
 		return 0
 	}
@@ -415,71 +488,92 @@ func reverseGroups(t *mesh.Topology, p *mesh.Phase, d *denseState) int {
 			d.hot[id] = true
 		}
 	}
-	crossesHot := func(r mesh.Path) bool {
-		for j := 0; j+1 < len(r); j++ {
-			if d.hot[t.LinkID(mesh.Link{From: r[j], To: r[j+1]})] {
-				return true
-			}
+	// Group flows by tag: flow indices sorted by (tag, index) make each
+	// group one run, runs in ascending tag order.
+	d.tag = d.tag[:0]
+	d.byTag = d.byTag[:0]
+	for i := range p.Flows {
+		k := groupKey(p.Flows[i].Payload)
+		d.tag = append(d.tag, k)
+		if k != "" {
+			d.byTag = append(d.byTag, int32(i))
 		}
-		return false
 	}
-	// Collect groups crossing any hot link.
-	groupOf := map[string][]int{}
-	for i, f := range p.Flows {
-		k := groupKey(f.Payload)
-		if k == "" {
-			continue
+	slices.SortFunc(d.byTag, func(a, b int32) int {
+		if c := strings.Compare(d.tag[a], d.tag[b]); c != 0 {
+			return c
 		}
-		groupOf[k] = append(groupOf[k], i)
-	}
-	var keys []string
-	for k, idx := range groupOf {
-		crosses := false
-		for _, i := range idx {
-			if crossesHot(p.Flows[i].Route) {
-				crosses = true
+		return int(a - b)
+	})
+	// Keep the runs crossing any hot link.
+	d.runs = d.runs[:0]
+	for lo := 0; lo < len(d.byTag); {
+		hi := lo + 1
+		for hi < len(d.byTag) && d.tag[d.byTag[hi]] == d.tag[d.byTag[lo]] {
+			hi++
+		}
+		for _, i := range d.byTag[lo:hi] {
+			if d.crossesHot(p.Flows[i].Route) {
+				d.runs = append(d.runs, [2]int32{int32(lo), int32(hi)})
 				break
 			}
 		}
-		if crosses && len(idx) > 0 {
-			keys = append(keys, k)
-		}
+		lo = hi
 	}
 	// Clear the bitmap before candidate evaluation re-accumulates (and
 	// re-populates touched with) candidate state.
 	for _, id := range d.touched {
 		d.hot[id] = false
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		idx := groupOf[k]
-		candidate := clonePhase(*p)
-		ok := true
-		for _, i := range idx {
-			f := candidate.Flows[i]
-			rev := make(mesh.Path, len(f.Route))
-			for j := range f.Route {
-				rev[j] = f.Route[len(f.Route)-1-j]
-			}
-			if !rev.Valid(t) {
-				ok = false
-				break
-			}
-			candidate.Flows[i] = mesh.Flow{
-				Src: f.Dst, Dst: f.Src, Bytes: f.Bytes, Route: rev, Payload: f.Payload,
-			}
-		}
-		if !ok {
+	for _, run := range d.runs {
+		idx := d.byTag[run[0]:run[1]]
+		if !d.reverseRoutes(t, *p, idx) {
 			continue
 		}
-		if d.potential(candidate).less(cur) {
-			*p = candidate
+		if d.potential(*p, idx).less(cur) {
+			routes := slices.Clone(d.rev)
+			for k, i := range idx {
+				f := &p.Flows[i]
+				lo, hi := d.revOff[k], d.revOff[k+1]
+				f.Src, f.Dst = f.Dst, f.Src
+				f.Route = routes[lo:hi:hi]
+			}
 			// One flip per iteration: re-evaluate from the new
 			// bottleneck next round.
 			return len(idx)
 		}
 	}
 	return 0
+}
+
+// crossesHot reports whether route r crosses a link marked hot.
+func (d *denseState) crossesHot(r mesh.Path) bool {
+	for j := 0; j+1 < len(r); j++ {
+		if d.hot[d.t.LinkID(mesh.Link{From: r[j], To: r[j+1]})] {
+			return true
+		}
+	}
+	return false
+}
+
+// reverseRoutes writes the reversed routes of flows idx into the
+// arena, reporting false when one of them is not a valid path on t
+// (a dead link in the opposite direction).
+func (d *denseState) reverseRoutes(t *mesh.Topology, p mesh.Phase, idx []int32) bool {
+	d.rev = d.rev[:0]
+	d.revOff = append(d.revOff[:0], 0)
+	for _, i := range idx {
+		r := p.Flows[i].Route
+		start := len(d.rev)
+		for j := len(r) - 1; j >= 0; j-- {
+			d.rev = append(d.rev, r[j])
+		}
+		if !mesh.Path(d.rev[start:]).Valid(t) {
+			return false
+		}
+		d.revOff = append(d.revOff, int32(len(d.rev)))
+	}
+	return true
 }
 
 // reroute tries to move hot flows onto less-loaded paths (the
@@ -493,7 +587,7 @@ func reroute(t *mesh.Topology, p *mesh.Phase, hot []int, d *denseState) int {
 		if f.Src == f.Dst || f.Route.Hops() == 0 {
 			continue
 		}
-		cur := d.potential(*p)
+		cur := d.potential(*p, nil)
 		// Remove this flow's own contribution so the weight reflects
 		// the load it would join.
 		for j := 0; j+1 < len(f.Route); j++ {
@@ -508,15 +602,20 @@ func reroute(t *mesh.Topology, p *mesh.Phase, hot []int, d *denseState) int {
 		if norm <= 0 {
 			norm = 1
 		}
-		alt := t.RouteWeighted(f.Src, f.Dst, func(l mesh.Link) float64 {
-			return 4 * d.loads[t.LinkID(l)] / norm
-		})
+		// Untouched links carry no load, so their weight stays 0.
+		for _, id := range d.touched {
+			d.weight[id] = 4 * d.loads[id] / norm
+		}
+		alt := t.RouteWeighted(f.Src, f.Dst, d.weight)
+		for _, id := range d.touched {
+			d.weight[id] = 0
+		}
 		if alt == nil || samePath(alt, f.Route) {
 			continue
 		}
 		old := f.Route
 		p.Flows[i].Route = alt
-		if d.potential(*p).less(cur) {
+		if d.potential(*p, nil).less(cur) {
 			count++
 		} else {
 			p.Flows[i].Route = old

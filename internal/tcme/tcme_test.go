@@ -214,6 +214,29 @@ func refMaxLoad(p mesh.Phase) float64 {
 	return m
 }
 
+// referenceSeqs lowers seven hybrid-parallel collectives onto a 4×8
+// mesh, several of them contending for the same links.
+func referenceSeqs(tp *mesh.Topology) [][]mesh.Phase {
+	return [][]mesh.Phase{
+		collective.RingAllGather(tp, []mesh.DieID{0, 1, 9, 8}, 16*unit.MB),
+		collective.RingAllReduce(tp, []mesh.DieID{2, 3, 4, 5}, 24*unit.MB),
+		collective.P2PChain(tp, []mesh.DieID{16, 1, 24, 10}, 8*unit.MB, "tatp"),
+		collective.Broadcast(tp, 12, []mesh.DieID{13, 20, 28, 14}, 4*unit.MB, "w"),
+		collective.AllToAll(tp, []mesh.DieID{6, 7, 14, 15}, 2*unit.MB),
+		// Fig. 5(b)'s colliding pair: 0→2 and 1→3 share 1→2 under XY.
+		collective.P2PChain(tp, []mesh.DieID{0, 2}, 32*unit.MB, "x"),
+		collective.P2PChain(tp, []mesh.DieID{1, 3}, 32*unit.MB, "y"),
+	}
+}
+
+// mergedPhase is the first step of every reference collective running
+// concurrently on a healthy 4×8 mesh: the phase the allocation guard
+// and BenchmarkOptimize time.
+func mergedPhase() (*mesh.Topology, mesh.Phase) {
+	tp := topo(4, 8)
+	return tp, collective.Merge(referenceSeqs(tp)...)[0]
+}
+
 // TestDenseLoadsMatchReference checks the optimizer's dense link-load
 // accumulators against the independent map computation: for lowered
 // hybrid-parallel collectives on a healthy 4×8 mesh and on a faulted
@@ -225,16 +248,7 @@ func TestDenseLoadsMatchReference(t *testing.T) {
 	faulted.SetLinkAlive(mesh.Link{From: 1, To: 2}, false)
 	faulted.SetLinkAlive(mesh.Link{From: 9, To: 17}, false)
 	for name, tp := range map[string]*mesh.Topology{"healthy": healthy, "faulted": faulted} {
-		seqs := [][]mesh.Phase{
-			collective.RingAllGather(tp, []mesh.DieID{0, 1, 9, 8}, 16*unit.MB),
-			collective.RingAllReduce(tp, []mesh.DieID{2, 3, 4, 5}, 24*unit.MB),
-			collective.P2PChain(tp, []mesh.DieID{16, 1, 24, 10}, 8*unit.MB, "tatp"),
-			collective.Broadcast(tp, 12, []mesh.DieID{13, 20, 28, 14}, 4*unit.MB, "w"),
-			collective.AllToAll(tp, []mesh.DieID{6, 7, 14, 15}, 2*unit.MB),
-			// Fig. 5(b)'s colliding pair: 0→2 and 1→3 share 1→2 under XY.
-			collective.P2PChain(tp, []mesh.DieID{0, 2}, 32*unit.MB, "x"),
-			collective.P2PChain(tp, []mesh.DieID{1, 3}, 32*unit.MB, "y"),
-		}
+		seqs := referenceSeqs(tp)
 		// Each collective alone, then all of them merged concurrently.
 		var phases []mesh.Phase
 		for _, seq := range seqs {
@@ -282,4 +296,31 @@ func TestOptimizeRejectsOffMesh(t *testing.T) {
 		}
 	}()
 	Optimize(tp, p, Options{})
+}
+
+// TestOptimizeAllocs bounds one cold Optimize on the merged reference
+// phase. Candidate flips and reroutes are priced on pooled dense state,
+// so what remains is the phase copy the result returns, the routes of
+// accepted moves (multicast trees, flipped groups, detours) and
+// RouteWeighted's returned paths — not one phase copy per candidate.
+func TestOptimizeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	tp, ph := mergedPhase()
+	Optimize(tp, ph, Options{}) // warm the dense-state pool
+	const budget = 8
+	avg := testing.AllocsPerRun(50, func() { Optimize(tp, ph, Options{}) })
+	t.Logf("%d flows: %.0f allocs", len(ph.Flows), avg)
+	if avg > budget {
+		t.Errorf("cold Optimize allocates %.0f objects/op, budget %d", avg, budget)
+	}
+}
+
+func BenchmarkOptimize(b *testing.B) {
+	tp, ph := mergedPhase()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Optimize(tp, ph, Options{})
+	}
 }
