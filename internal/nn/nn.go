@@ -21,15 +21,6 @@ type Dense struct {
 
 	// Adam state.
 	mW, vW, mB, vB []float64
-
-	// scratch from the last forward pass, used by backward.
-	lastIn  []float64
-	lastPre []float64
-	// reusable training buffers (Forward output, Backward dL/din);
-	// like lastIn/lastPre they make training single-threaded while
-	// keeping Infer/Predict read-only and concurrency-safe.
-	fwdOut []float64
-	bwdIn  []float64
 }
 
 // NewDense builds a layer with He-initialized weights.
@@ -50,82 +41,181 @@ func NewDense(in, out int, relu bool, rng *rand.Rand) *Dense {
 	return d
 }
 
-// Infer computes the layer output for one sample without recording
-// backward scratch: it only reads W and B, so a trained layer may
-// serve any number of concurrent Infer calls.
+// Infer computes the layer output for one sample. It only reads W
+// and B, so a trained layer may serve any number of concurrent Infer
+// calls.
 func (d *Dense) Infer(x []float64) []float64 {
 	if len(x) != d.In {
 		panic(fmt.Sprintf("nn: dense input %d, want %d", len(x), d.In))
 	}
 	out := make([]float64, d.Out)
-	for o := 0; o < d.Out; o++ {
-		s := d.B[o]
-		row := d.W[o*d.In : (o+1)*d.In]
-		for i, xi := range x {
-			s += row[i] * xi
-		}
-		if d.ReLU && s < 0 {
-			s = 0
-		}
-		out[o] = s
+	d.affine(x, out)
+	if d.ReLU {
+		reluInto(out, out)
 	}
 	return out
 }
 
-// Forward computes the layer output for one sample and records the
-// pre-activation scratch Backward consumes. Training only; concurrent
-// callers must use Infer.
-func (d *Dense) Forward(x []float64) []float64 {
-	if len(x) != d.In {
-		panic(fmt.Sprintf("nn: dense input %d, want %d", len(x), d.In))
+// affine writes the pre-activation B + W·x of one sample into pre,
+// which must hold Out values; len(x) must be In. It is the one
+// forward kernel of both training and inference. Four output rows
+// are computed at a time as independent sums sharing each x[i] load;
+// every sum still starts at B[o] and adds W[o,i]*x[i] with i
+// ascending, so each output rounds exactly as a one-row loop would.
+func (d *Dense) affine(x, pre []float64) {
+	in := len(x)
+	w, b := d.W, d.B
+	o := 0
+	for ; o+4 <= len(pre); o += 4 {
+		pre[o], pre[o+1], pre[o+2], pre[o+3] = dot4(x,
+			w[o*in:(o+1)*in], w[(o+1)*in:(o+2)*in], w[(o+2)*in:(o+3)*in], w[(o+3)*in:(o+4)*in],
+			b[o], b[o+1], b[o+2], b[o+3])
 	}
-	d.lastIn = append(d.lastIn[:0], x...)
-	if cap(d.lastPre) < d.Out {
-		d.lastPre = make([]float64, d.Out)
-		d.fwdOut = make([]float64, d.Out)
-	}
-	d.lastPre = d.lastPre[:d.Out]
-	out := d.fwdOut[:d.Out]
-	for o := 0; o < d.Out; o++ {
-		s := d.B[o]
-		row := d.W[o*d.In : (o+1)*d.In]
+	for ; o < len(pre); o++ {
+		row := w[o*in : (o+1)*in][:len(x)]
+		s := b[o]
 		for i, xi := range x {
 			s += row[i] * xi
 		}
-		d.lastPre[o] = s
-		if d.ReLU && s < 0 {
-			s = 0
-		}
-		out[o] = s
+		pre[o] = s
 	}
-	return out
 }
 
-// Backward consumes dL/dout, accumulates parameter gradients into gW
-// and gB, and returns dL/din. The returned slice is layer-owned
-// scratch, valid until the layer's next Backward call.
-func (d *Dense) Backward(dOut, gW, gB []float64) []float64 {
-	if cap(d.bwdIn) < d.In {
-		d.bwdIn = make([]float64, d.In)
+// dot4 returns s_k + Σ_i w_k[i]*x[i] for four rows, each summed with
+// i ascending. The rows share every x[i] load, and the four sums are
+// independent chains the processor can overlap. dot4, outer4 and
+// outerDot4 stay out of line: inlined into their callers, the
+// compiler spills the row pointers of the inner loop to the stack.
+//
+//go:noinline
+func dot4(x, w0, w1, w2, w3 []float64, s0, s1, s2, s3 float64) (float64, float64, float64, float64) {
+	w0, w1, w2, w3 = w0[:len(x)], w1[:len(x)], w2[:len(x)], w3[:len(x)]
+	for i, xi := range x {
+		s0 += w0[i] * xi
+		s1 += w1[i] * xi
+		s2 += w2[i] * xi
+		s3 += w3[i] * xi
 	}
-	dIn := d.bwdIn[:d.In]
-	for i := range dIn {
-		dIn[i] = 0
+	return s0, s1, s2, s3
+}
+
+// reluInto writes max(pre, 0) into act; a zero or NaN pre passes
+// through. It selects between bit patterns, which the compiler turns
+// into a conditional move, because a branch on the sign of a trained
+// unit's pre-activation is mispredicted about half the time.
+func reluInto(pre, act []float64) {
+	act = act[:len(pre)]
+	for j, v := range pre {
+		b := math.Float64bits(v)
+		if v < 0 {
+			b = 0
+		}
+		act[j] = math.Float64frombits(b)
 	}
-	for o := 0; o < d.Out; o++ {
-		g := dOut[o]
-		if d.ReLU && d.lastPre[o] <= 0 {
+}
+
+// backward runs one sample's backward pass through the layer: given
+// the layer input x, its pre-activation pre and dL/dout g, it adds
+// the sample's parameter gradients to gW and gB and, when dIn is
+// non-nil, writes dL/din into it. live is scratch of capacity Out.
+//
+// Outputs whose ReLU is off (pre <= 0) are skipped, then the live
+// ones are taken four at a time. Each gW[o,i] and gB[o] receives one
+// addition per sample, and each dIn[i] sums g_o*W[o,i] over the live
+// outputs in ascending order, so every value rounds exactly as in a
+// one-output-at-a-time pass over the samples in order.
+func (d *Dense) backward(x, pre, g, dIn, gW, gB []float64, live []int) {
+	in := len(x)
+	live = live[:len(g)]
+	if d.ReLU {
+		// Written so the count compiles to a conditional move; see
+		// reluInto.
+		n := 0
+		for o, p := range pre[:len(live)] {
+			live[n] = o
+			if !(p <= 0) {
+				n++
+			}
+		}
+		live = live[:n]
+	} else {
+		for o := range live {
+			live[o] = o
+		}
+	}
+	if dIn != nil {
+		dIn = dIn[:len(x)]
+		clear(dIn)
+	}
+	w := d.W
+	k := 0
+	for ; k+4 <= len(live); k += 4 {
+		o0, o1, o2, o3 := live[k], live[k+1], live[k+2], live[k+3]
+		g0, g1, g2, g3 := g[o0], g[o1], g[o2], g[o3]
+		gB[o0] += g0
+		gB[o1] += g1
+		gB[o2] += g2
+		gB[o3] += g3
+		gw0, gw1, gw2, gw3 := gW[o0*in:(o0+1)*in], gW[o1*in:(o1+1)*in], gW[o2*in:(o2+1)*in], gW[o3*in:(o3+1)*in]
+		if dIn == nil {
+			outer4(x, gw0, gw1, gw2, gw3, g0, g1, g2, g3)
 			continue
 		}
-		gB[o] += g
-		row := d.W[o*d.In : (o+1)*d.In]
-		gRow := gW[o*d.In : (o+1)*d.In]
-		for i := 0; i < d.In; i++ {
-			gRow[i] += g * d.lastIn[i]
-			dIn[i] += g * row[i]
+		outerDot4(x, dIn, gw0, gw1, gw2, gw3,
+			w[o0*in:(o0+1)*in], w[o1*in:(o1+1)*in], w[o2*in:(o2+1)*in], w[o3*in:(o3+1)*in],
+			g0, g1, g2, g3)
+	}
+	for _, o := range live[k:] {
+		g0 := g[o]
+		gB[o] += g0
+		gw := gW[o*in : (o+1)*in][:len(x)]
+		if dIn == nil {
+			for i, xi := range x {
+				gw[i] += g0 * xi
+			}
+			continue
+		}
+		row := w[o*in : (o+1)*in][:len(x)]
+		for i, xi := range x {
+			gw[i] += g0 * xi
+			dIn[i] += g0 * row[i]
 		}
 	}
-	return dIn
+}
+
+// outer4 adds g_k*x[i] to gw_k[i] for four gradient rows.
+//
+//go:noinline
+func outer4(x, gw0, gw1, gw2, gw3 []float64, g0, g1, g2, g3 float64) {
+	gw0, gw1, gw2, gw3 = gw0[:len(x)], gw1[:len(x)], gw2[:len(x)], gw3[:len(x)]
+	for i, xi := range x {
+		gw0[i] += g0 * xi
+		gw1[i] += g1 * xi
+		gw2[i] += g2 * xi
+		gw3[i] += g3 * xi
+	}
+}
+
+// outerDot4 is outer4 fused with the input-gradient update: it adds
+// g0*w0[i], then g1*w1[i], g2*w2[i] and g3*w3[i] to dIn[i].
+//
+//go:noinline
+func outerDot4(x, dIn, gw0, gw1, gw2, gw3, w0, w1, w2, w3 []float64, g0, g1, g2, g3 float64) {
+	dIn = dIn[:len(x)]
+	gw0, gw1, gw2, gw3 = gw0[:len(x)], gw1[:len(x)], gw2[:len(x)], gw3[:len(x)]
+	w0, w1, w2, w3 = w0[:len(x)], w1[:len(x)], w2[:len(x)], w3[:len(x)]
+	for i, xi := range x {
+		gw0[i] += g0 * xi
+		gw1[i] += g1 * xi
+		gw2[i] += g2 * xi
+		gw3[i] += g3 * xi
+		t := dIn[i]
+		t += g0 * w0[i]
+		t += g1 * w1[i]
+		t += g2 * w2[i]
+		t += g3 * w3[i]
+		dIn[i] = t
+	}
 }
 
 // MLP is a feed-forward stack of Dense layers.
@@ -133,9 +223,17 @@ type MLP struct {
 	Layers []*Dense
 	step   int
 
-	// training scratch, reused across TrainBatch calls.
-	gW, gB [][]float64
-	dOut   []float64
+	// training scratch, reused across TrainBatch calls: parameter
+	// gradients, the minibatch copied into one row-major [n][In]
+	// buffer, per-layer row-major [n][Out] pre-activations,
+	// activations (the same buffer as pre for a linear layer) and
+	// dL/dout, and the backward pass's live-output list. rows is the
+	// minibatch size the buffers hold.
+	gW, gB         [][]float64
+	x              []float64
+	pre, act, grad [][]float64
+	live           []int
+	rows           int
 }
 
 // NewMLP builds a network with the given layer widths; all hidden
@@ -165,14 +263,100 @@ func (m *MLP) Predict(x []float64) []float64 {
 	return h
 }
 
-// forward is the training pass: each layer records the scratch
-// Backward consumes, so it must stay single-threaded.
-func (m *MLP) forward(x []float64) []float64 {
-	h := x
-	for _, l := range m.Layers {
-		h = l.Forward(h)
+// reserve sizes the training scratch for an n-sample minibatch.
+func (m *MLP) reserve(n int) {
+	if m.gW == nil {
+		k := len(m.Layers)
+		m.gW, m.gB = make([][]float64, k), make([][]float64, k)
+		m.pre, m.act, m.grad = make([][]float64, k), make([][]float64, k), make([][]float64, k)
+		for i, l := range m.Layers {
+			m.gW[i] = make([]float64, len(l.W))
+			m.gB[i] = make([]float64, len(l.B))
+		}
 	}
-	return h
+	if n <= m.rows {
+		return
+	}
+	m.rows = n
+	m.x = make([]float64, n*m.Layers[0].In)
+	maxOut := 0
+	for i, l := range m.Layers {
+		m.pre[i] = make([]float64, n*l.Out)
+		m.act[i] = m.pre[i]
+		if l.ReLU {
+			m.act[i] = make([]float64, n*l.Out)
+		}
+		m.grad[i] = make([]float64, n*l.Out)
+		maxOut = max(maxOut, l.Out)
+	}
+	m.live = make([]int, 0, maxOut)
+}
+
+// backprop runs the forward and backward passes of an MSE minibatch,
+// leaving dL/dW and dL/dB in m.gW and m.gB, and returns the batch
+// loss. Samples are processed in order within each layer, so every
+// gradient sums its per-sample terms in sample order.
+func (m *MLP) backprop(xs, ys [][]float64) float64 {
+	if len(xs) == 0 || len(xs) != len(ys) {
+		panic(fmt.Sprintf("nn: TrainBatch requires matching non-empty batches, got %d inputs and %d targets", len(xs), len(ys)))
+	}
+	n := len(xs)
+	m.reserve(n)
+	first, last := m.Layers[0], m.Layers[len(m.Layers)-1]
+	x := m.x[:n*first.In]
+	for s, xr := range xs {
+		if len(xr) != first.In {
+			panic(fmt.Sprintf("nn: sample %d has %d inputs, want %d", s, len(xr), first.In))
+		}
+		if len(ys[s]) != last.Out {
+			panic(fmt.Sprintf("nn: sample %d has %d targets, want %d", s, len(ys[s]), last.Out))
+		}
+		copy(x[s*first.In:], xr)
+	}
+
+	h := x
+	for li, l := range m.Layers {
+		pre := m.pre[li][:n*l.Out]
+		for s := 0; s < n; s++ {
+			l.affine(h[s*l.In:(s+1)*l.In], pre[s*l.Out:(s+1)*l.Out])
+		}
+		if l.ReLU {
+			reluInto(pre, m.act[li])
+		}
+		h = m.act[li][:n*l.Out]
+	}
+
+	var loss float64
+	dOut := m.grad[len(m.Layers)-1]
+	for s, y := range ys {
+		out := h[s*last.Out : (s+1)*last.Out]
+		for o, v := range out {
+			diff := v - y[o]
+			loss += diff * diff
+			dOut[s*last.Out+o] = 2 * diff / float64(n)
+		}
+	}
+
+	for li := len(m.Layers) - 1; li >= 0; li-- {
+		l, gW, gB := m.Layers[li], m.gW[li], m.gB[li]
+		clear(gW)
+		clear(gB)
+		in, pre, g := x, m.pre[li], m.grad[li]
+		var dIn []float64
+		if li > 0 {
+			// Layer 0's input gradient is never read.
+			in, dIn = m.act[li-1], m.grad[li-1]
+		}
+		for s := 0; s < n; s++ {
+			var di []float64
+			if dIn != nil {
+				di = dIn[s*l.In : (s+1)*l.In]
+			}
+			l.backward(in[s*l.In:(s+1)*l.In], pre[s*l.Out:(s+1)*l.Out],
+				g[s*l.Out:(s+1)*l.Out], di, gW, gB, m.live)
+		}
+	}
+	return loss / float64(n)
 }
 
 // AdamConfig holds optimizer hyper-parameters; zero values take the
@@ -198,49 +382,17 @@ func (c AdamConfig) withDefaults() AdamConfig {
 }
 
 // TrainBatch runs one Adam step on a minibatch with MSE loss and
-// returns the batch loss.
+// returns the batch loss. It panics on an empty batch, on unequal
+// numbers of inputs and targets, and on a sample of the wrong width.
 func (m *MLP) TrainBatch(xs [][]float64, ys [][]float64, cfg AdamConfig) float64 {
 	cfg = cfg.withDefaults()
-	if m.gW == nil {
-		m.gW = make([][]float64, len(m.Layers))
-		m.gB = make([][]float64, len(m.Layers))
-		for i, l := range m.Layers {
-			m.gW[i] = make([]float64, len(l.W))
-			m.gB[i] = make([]float64, len(l.B))
-		}
-	}
-	gW, gB := m.gW, m.gB
-	for i := range gW {
-		for j := range gW[i] {
-			gW[i][j] = 0
-		}
-		for j := range gB[i] {
-			gB[i][j] = 0
-		}
-	}
-	var loss float64
-	for s := range xs {
-		out := m.forward(xs[s])
-		if cap(m.dOut) < len(out) {
-			m.dOut = make([]float64, len(out))
-		}
-		dOut := m.dOut[:len(out)]
-		for o := range out {
-			diff := out[o] - ys[s][o]
-			loss += diff * diff
-			dOut[o] = 2 * diff / float64(len(xs))
-		}
-		for li := len(m.Layers) - 1; li >= 0; li-- {
-			dOut = m.Layers[li].Backward(dOut, gW[li], gB[li])
-		}
-	}
-	loss /= float64(len(xs))
+	loss := m.backprop(xs, ys)
 	m.step++
 	b1c := 1 - math.Pow(cfg.Beta1, float64(m.step))
 	b2c := 1 - math.Pow(cfg.Beta2, float64(m.step))
 	for li, l := range m.Layers {
-		adam(l.W, gW[li], l.mW, l.vW, cfg, b1c, b2c)
-		adam(l.B, gB[li], l.mB, l.vB, cfg, b1c, b2c)
+		adam(l.W, m.gW[li], l.mW, l.vW, cfg, b1c, b2c)
+		adam(l.B, m.gB[li], l.mB, l.vB, cfg, b1c, b2c)
 	}
 	return loss
 }
