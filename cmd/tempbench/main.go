@@ -21,7 +21,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -31,6 +30,7 @@ import (
 	"time"
 
 	"temp/internal/baselines"
+	"temp/internal/cli"
 	"temp/internal/collective"
 	"temp/internal/cost"
 	"temp/internal/distrib"
@@ -39,7 +39,6 @@ import (
 	"temp/internal/fault"
 	"temp/internal/hw"
 	"temp/internal/sim"
-	"temp/internal/solver"
 	"temp/internal/spec"
 	"temp/internal/unit"
 )
@@ -109,80 +108,25 @@ type output struct {
 	Experiments []record       `json:"experiments"`
 }
 
-// finishDistrib shuts the fabric down and folds its workers' engine
-// cache counters into stats and its fabric telemetry into the output.
-// No-op on a nil fabric.
-func finishDistrib(out output, f *distrib.Fabric, workers int, stats *engine.Stats) output {
-	if f == nil {
-		return out
+// writeOutput completes the -json document and writes it: the worker
+// pool size, then the engine cache counters with the fabric's workers'
+// folded in (shutting the fabric down) and the lowering and TCME memo
+// counters. distributed is the fabric's requested worker count.
+func writeOutput(out output, f *distrib.Fabric, distributed int) error {
+	stats := engine.CountersSnapshot()
+	if f != nil {
+		fs := f.Shutdown()
+		t := fs.EngineTotals()
+		stats.Hits += t.Hits
+		stats.Misses += t.Misses
+		stats.DiskHits += t.DiskHits
+		stats.BatchCalls += t.BatchCalls
+		stats.BatchedJobs += t.BatchedJobs
+		out.Distribute = distributed
+		out.Distrib = &fs
 	}
-	fs := f.Shutdown()
-	t := fs.EngineTotals()
-	stats.Hits += t.Hits
-	stats.Misses += t.Misses
-	stats.DiskHits += t.DiskHits
-	stats.BatchCalls += t.BatchCalls
-	stats.BatchedJobs += t.BatchedJobs
-	out.Distribute = workers
-	out.Distrib = &fs
-	return out
-}
-
-// workerPassthrough builds the flag tail replicated onto spawned
-// worker processes so they price with the coordinator's exact
-// configuration (engine bound, shared memo dir, overrides).
-func workerPassthrough(workers int, memoDir, modelNames, waferName, backend string) []string {
-	args := []string{"-workers", fmt.Sprint(workers)}
-	if memoDir != "" {
-		args = append(args, "-memo-dir", memoDir)
-	}
-	if modelNames != "" {
-		args = append(args, "-model", modelNames)
-	}
-	if waferName != "" {
-		args = append(args, "-wafer", waferName)
-	}
-	if backend != "" {
-		args = append(args, "-backend", backend)
-	}
-	return args
-}
-
-// fabTuning carries the resilience knobs every fabric construction
-// shares: the -chaos injection campaign, -sync-memo shipping, and the
-// -heartbeat liveness cadence.
-type fabTuning struct {
-	chaos       *distrib.ChaosConfig
-	syncMemo    bool
-	heartbeat   time.Duration
-	missedBeats int
-}
-
-// newFabric attaches n workers: spawned self-invocations by default,
-// TCP-accepted when listen is set. Attach failures degrade (warn and
-// run with fewer workers, possibly in-process) rather than abort.
-func newFabric(n int, listen string, shardSize, retries int, passthrough []string, tune fabTuning) *distrib.Fabric {
-	if n <= 0 && listen == "" {
-		return nil
-	}
-	opts := distrib.Options{
-		Workers: n, Listen: listen, ShardSize: shardSize, Retries: retries,
-		Chaos: tune.chaos, SyncMemo: tune.syncMemo,
-		Heartbeat: tune.heartbeat, MissedBeats: tune.missedBeats,
-	}
-	if listen == "" {
-		exe, err := os.Executable()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tempbench: distrib:", err)
-			return nil
-		}
-		opts.Command = append([]string{exe, "-worker-mode"}, passthrough...)
-	}
-	f, err := distrib.New(opts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tempbench: distrib:", err)
-	}
-	return f
+	out.Workers = engine.Workers()
+	return cli.WriteJSON(*jsonPath, out.withEngineStats(stats).withLoweringStats())
 }
 
 // withEngineStats stamps the evaluation-cache counters — memory hits,
@@ -252,58 +196,40 @@ func startProfiles(cpuPath, memPath string) (func(), error) {
 	}, nil
 }
 
-// scenarioFabric builds the fabric for a scenario batch: the CLI
-// -distribute always wins; otherwise the batch's first spec-declared
-// distrib block applies. Returns the fabric (nil = in-process) and
-// the effective worker count.
-func scenarioFabric(specs []spec.ScenarioSpec, distribute int, listen string, passthrough []string, tune fabTuning) (*distrib.Fabric, int) {
-	shard, retries := 0, 0
-	n := distribute
-	for _, s := range specs {
-		if s.Distrib != nil {
-			if n == 0 {
-				n = s.Distrib.Workers
-			}
-			shard, retries = s.Distrib.ShardSize, s.Distrib.Retries
-			// Spec-declared resilience knobs apply unless the CLI set
-			// its own (flags always win).
-			if tune.heartbeat == 0 && s.Distrib.HeartbeatMS > 0 {
-				tune.heartbeat = time.Duration(s.Distrib.HeartbeatMS) * time.Millisecond
-			}
-			if tune.missedBeats == 0 {
-				tune.missedBeats = s.Distrib.MissedBeats
-			}
-			if s.Distrib.SyncMemo {
-				tune.syncMemo = true
-			}
-			break
-		}
-	}
-	if n <= 0 && listen == "" {
-		return nil, 0
-	}
-	return newFabric(n, listen, shard, retries, passthrough, tune), n
-}
-
 // applyOverrides installs the -model/-wafer/-backend experiment
 // overrides (shared by the coordinator's suite path and worker mode).
-func applyOverrides(modelNames, waferName, backend string) error {
-	if modelNames != "" {
-		if err := experiments.UseModels(modelNames); err != nil {
+func applyOverrides() error {
+	if *modelNames != "" {
+		if err := experiments.UseModels(*modelNames); err != nil {
 			return err
 		}
 	}
-	if waferName != "" {
-		if err := experiments.UseWafer(waferName); err != nil {
+	if *waferName != "" {
+		if err := experiments.UseWafer(*waferName); err != nil {
 			return err
 		}
 	}
-	if backend != "" {
-		if err := experiments.UseBackend(backend); err != nil {
+	if *backend != "" {
+		if err := experiments.UseBackend(*backend); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// workerTail is the flag tail spawned workers get after the shared
+// -workers/-memo-dir, so they price with the coordinator's experiment
+// overrides.
+func workerTail() []string {
+	var tail []string
+	for _, f := range []struct{ name, value string }{
+		{"-model", *modelNames}, {"-wafer", *waferName}, {"-backend", *backend},
+	} {
+		if f.value != "" {
+			tail = append(tail, f.name, f.value)
+		}
+	}
+	return tail
 }
 
 // backendLabel names the engine's default backend for perf records.
@@ -320,14 +246,6 @@ func toRecord(t *experiments.Table, d time.Duration) record {
 		r.Headline = t.Notes[0]
 	}
 	return r
-}
-
-func writeJSON(path string, out output) error {
-	buf, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }
 
 // scenarioTable renders a scenario batch in the experiments table
@@ -374,56 +292,28 @@ func scenarioTable(results []sim.ScenarioResult) *experiments.Table {
 	return t
 }
 
-// attachResilience mutates a scenario spec per the -repair and
-// -fault-campaign flags: -repair rides on an existing fault stage;
-// -fault-campaign adds one (the campaign needs no injection rates, so
-// a missing fault stage is created empty).
-func attachResilience(ss *spec.ScenarioSpec, repair, campaign bool) {
-	if repair && ss.Fault != nil && ss.Fault.Repair == nil {
-		ss.Fault.Repair = &spec.RepairSpec{}
-	}
-	if campaign {
-		if ss.Fault == nil {
-			ss.Fault = &spec.FaultSpec{}
-		}
-		if ss.Fault.Campaign == nil {
-			ss.Fault.Campaign = &spec.CampaignSpec{}
-		}
-	}
-}
-
-// writeCampaignsJSON writes the campaign survivability artifact: one
-// result per campaign-staged scenario.
-func writeCampaignsJSON(path string, crs []fault.CampaignResult) error {
-	buf, err := json.MarshalIndent(crs, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
-}
-
 // runStandaloneCampaign runs a fault campaign outside the scenario
 // path: baselines.Best picks the mapping for the selected model/wafer
 // pair, then the campaign sweeps it over the default (-quick: reduced)
 // grid and writes the survivability artifact.
-func runStandaloneCampaign(path, modelNames, waferName, backend string, quick bool, seed int64, workers int, fab *distrib.Fabric) error {
+func runStandaloneCampaign(fab *distrib.Fabric) error {
 	name := "gpt3-6.7b"
-	if modelNames != "" {
-		name = strings.TrimSpace(strings.Split(modelNames, ",")[0])
+	if *modelNames != "" {
+		name = strings.TrimSpace(strings.Split(*modelNames, ",")[0])
 	}
 	m, err := spec.LookupModel(name)
 	if err != nil {
 		return err
 	}
 	w := hw.EvaluationWafer()
-	if waferName != "" {
-		if w, err = spec.LookupWafer(waferName); err != nil {
+	if *waferName != "" {
+		if w, err = spec.LookupWafer(*waferName); err != nil {
 			return err
 		}
 	}
 	key := ""
-	if backend != "" {
-		stage, err := spec.CostOverride(backend, seed)
+	if *backend != "" {
+		stage, err := spec.CostOverride(*backend, *seed)
 		if err != nil {
 			return err
 		}
@@ -436,9 +326,9 @@ func runStandaloneCampaign(path, modelNames, waferName, backend string, quick bo
 	}
 	c := fault.Campaign{
 		Model: m, Wafer: w, Config: best.Config, Opts: sys.Opts,
-		Backend: key, Seed: seed, Workers: workers,
+		Backend: key, Seed: *seed, Workers: rt.Workers,
 	}
-	if quick {
+	if *quick {
 		c.LinkRates = []float64{0, 0.2, 0.4}
 		c.CoreRates = []float64{0, 0.1}
 		c.Trials = 4
@@ -452,38 +342,53 @@ func runStandaloneCampaign(path, modelNames, waferName, backend string, quick bo
 	if err != nil {
 		return err
 	}
-	fmt.Printf("fault campaign: %s on %s, config %s (%d trials/cell, seed %d, backend %s)\n",
-		cr.Model, cr.Wafer, cr.Config, cr.Trials, cr.Seed, cr.Backend)
-	for _, cl := range cr.Cells {
-		fmt.Printf("  link %4.0f%% core %4.0f%%: functional %5.1f%%  mean %.3f  p5 %.3f  min %.3f\n",
-			cl.LinkRate*100, cl.CoreRate*100, cl.FunctionalRate*100, cl.MeanNorm, cl.P5Norm, cl.MinNorm)
-	}
-	return writeCampaignsJSON(path, []fault.CampaignResult{cr})
+	cli.PrintCampaign("fault campaign:", &cr)
+	return cli.WriteJSON(*faultCampaign, []fault.CampaignResult{cr})
 }
 
-func runScenarios(specs []spec.ScenarioSpec, jsonPath string, workers int, override *spec.SolverStage, costStage *spec.CostStage, campaignPath string, fab *distrib.Fabric, ov sim.Overrides, distributed int) error {
-	start := time.Now()
-	var results []sim.ScenarioResult
-	if fab != nil {
-		results = sim.RunScenarioSpecsOn(fab, specs, ov)
+// runScenarios runs the -scenario file or the -scenarios directory as
+// one batch, sharded across a fabric when the flags or a spec-declared
+// distrib block ask for one.
+func runScenarios(fo distrib.Options, tail []string) error {
+	var specs []spec.ScenarioSpec
+	var err error
+	if *scenario != "" {
+		var ss spec.ScenarioSpec
+		ss, err = spec.LoadScenario(*scenario)
+		specs = []spec.ScenarioSpec{ss}
 	} else {
-		results = sim.RunScenarioSpecsWithStages(specs, override, costStage)
+		specs, err = spec.LoadScenarioDir(*scenarios)
 	}
+	if err != nil {
+		return err
+	}
+	ov := sim.Overrides{Strategy: *strategy, Budget: *budget, Seed: *seed, Workers: rt.Workers, Backend: *backend}
+	// Build the override stages up front so bad -strategy/-budget/
+	// -backend values fail before any worker spawns.
+	override, costStage, err := ov.Stages()
+	if err != nil {
+		return err
+	}
+	cli.AttachResilience(specs, *repair, *faultCampaign != "")
+	fo = cli.SpecDistrib(fo, specs)
+	fab := rt.Fabric(fo, rt.MemoDir, tail...)
+	defer fab.Shutdown()
+	start := time.Now()
+	results := sim.RunScenarioSpecsOn(fab, specs, ov)
 	tab := scenarioTable(results)
 	tab.Fprint(os.Stdout)
-	if campaignPath != "" {
+	if *faultCampaign != "" {
 		var crs []fault.CampaignResult
 		for _, r := range results {
 			if r.Campaign != nil {
 				crs = append(crs, *r.Campaign)
 			}
 		}
-		if err := writeCampaignsJSON(campaignPath, crs); err != nil {
+		if err := cli.WriteJSON(*faultCampaign, crs); err != nil {
 			return err
 		}
 	}
-	if jsonPath != "" {
-		stats := engine.CountersSnapshot()
+	if *jsonPath != "" {
 		rec := toRecord(tab, time.Since(start))
 		switch {
 		case costStage != nil && costStage.Key != "":
@@ -528,13 +433,11 @@ func runScenarios(specs []spec.ScenarioSpec, jsonPath string, workers int, overr
 			rec.Strategy = uniform
 		}
 		out := output{
-			Workers:      workers,
 			Backend:      rec.Backend,
 			TotalSeconds: time.Since(start).Seconds(),
 			Experiments:  []record{rec},
 		}
-		out = finishDistrib(out, fab, distributed, &stats)
-		if err := writeJSON(jsonPath, out.withEngineStats(stats).withLoweringStats()); err != nil {
+		if err := writeOutput(out, fab, fo.Workers); err != nil {
 			return err
 		}
 	}
@@ -546,199 +449,84 @@ func runScenarios(specs []spec.ScenarioSpec, jsonPath string, workers int, overr
 	return nil
 }
 
+var (
+	rt = cli.New("tempbench", "shard the run across N worker subprocesses (0 = in-process)",
+		"backends", "models", "wafers", "strategies").ConnectFlags()
+	exp           = flag.String("exp", "", "experiment id (default: run all)")
+	quick         = flag.Bool("quick", false, "reduced model set for fast runs")
+	list          = flag.Bool("list", false, "list experiment ids")
+	jsonPath      = flag.String("json", "", "write per-experiment timings and headline metrics to this file")
+	modelNames    = flag.String("model", "", "run Table-II experiments on these registered models (comma-separated)")
+	waferName     = flag.String("wafer", "", "run experiments on this registered wafer")
+	scenario      = flag.String("scenario", "", "run one scenario JSON file")
+	scenarios     = flag.String("scenarios", "", "run every *.json scenario in a directory")
+	strategy      = flag.String("strategy", "", "add/override a solver stage on scenario runs (-list-strategies)")
+	budget        = flag.String("budget", "", "solver-stage budget: eval count, duration, or both (\"20000,30s\")")
+	repair        = flag.Bool("repair", false, "add a degradation-aware repair stage to scenario fault stages")
+	faultCampaign = flag.String("fault-campaign", "", "run a deterministic fault campaign and write survivability JSON to this file")
+	seed          = flag.Int64("seed", 7, "solver-stage randomness seed")
+	backend       = flag.String("backend", "", "cost backend pricing every evaluation (-list-backends); accepts name or name@seed=N")
+	cpuprofile    = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+	memprofile    = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
+	listenAddr    = flag.String("listen", "", "accept -distribute workers over TCP on this address instead of spawning them")
+	chaosSpec     = flag.String("chaos", "", "deterministic chaos injection on fabric links: \"seed,rate\" spreads rate across delay/drop/corrupt/truncate/stall/kill (results stay bit-identical)")
+	syncMemo      = flag.Bool("sync-memo", false, "ship the warm disk-memo to attaching workers over the wire (shared-nothing workers)")
+	heartbeat     = flag.Duration("heartbeat", 0, "fabric liveness ping cadence (0 = default 500ms); 3 missed beats declare a worker dead")
+)
+
 func main() {
-	exp := flag.String("exp", "", "experiment id (default: run all)")
-	quick := flag.Bool("quick", false, "reduced model set for fast runs")
-	list := flag.Bool("list", false, "list experiment ids")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "evaluation worker-pool size")
-	jsonPath := flag.String("json", "", "write per-experiment timings and headline metrics to this file")
-	modelNames := flag.String("model", "", "run Table-II experiments on these registered models (comma-separated)")
-	waferName := flag.String("wafer", "", "run experiments on this registered wafer")
-	scenario := flag.String("scenario", "", "run one scenario JSON file")
-	scenarios := flag.String("scenarios", "", "run every *.json scenario in a directory")
-	strategy := flag.String("strategy", "", "add/override a solver stage on scenario runs (-list-strategies)")
-	budget := flag.String("budget", "", "solver-stage budget: eval count, duration, or both (\"20000,30s\")")
-	repair := flag.Bool("repair", false, "add a degradation-aware repair stage to scenario fault stages")
-	faultCampaign := flag.String("fault-campaign", "", "run a deterministic fault campaign and write survivability JSON to this file")
-	seed := flag.Int64("seed", 7, "solver-stage randomness seed")
-	backend := flag.String("backend", "", "cost backend pricing every evaluation (-list-backends); accepts name or name@seed=N")
-	listM := flag.Bool("list-models", false, "list registered model names")
-	listW := flag.Bool("list-wafers", false, "list registered wafer names")
-	listSt := flag.Bool("list-strategies", false, "list registered search strategies")
-	listB := flag.Bool("list-backends", false, "list registered cost backends")
-	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
-	memoDir := flag.String("memo-dir", os.Getenv("TEMPMEMO"),
-		"persist priced results in this directory and warm-start from them (default $TEMPMEMO)")
-	distribute := flag.Int("distribute", 0, "shard the run across N worker subprocesses (0 = in-process)")
-	listenAddr := flag.String("listen", "", "accept -distribute workers over TCP on this address instead of spawning them")
-	connectAddr := flag.String("connect", "", "worker: dial the coordinator's -listen address and serve shards")
-	redial := flag.Int("redial", 10, "-connect: re-dial attempts after connection loss with exponential backoff (0 = single attempt)")
-	workerMode := flag.Bool("worker-mode", false, "internal: serve shards from a coordinator over stdio")
-	chaosSpec := flag.String("chaos", "", "deterministic chaos injection on fabric links: \"seed,rate\" spreads rate across delay/drop/corrupt/truncate/stall/kill (results stay bit-identical)")
-	syncMemo := flag.Bool("sync-memo", false, "ship the warm disk-memo to attaching workers over the wire (shared-nothing workers)")
-	heartbeat := flag.Duration("heartbeat", 0, "fabric liveness ping cadence (0 = default 500ms); 3 missed beats declare a worker dead")
 	flag.Parse()
 	stopProfiles, err := startProfiles(*cpuprofile, *memprofile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tempbench:", err)
-		os.Exit(1)
-	}
+	rt.Check(err)
 	defer stopProfiles()
-	engine.SetWorkers(*workers)
-	if *memoDir != "" {
-		dm, err := engine.AttachDiskMemo(*memoDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tempbench:", err)
-			os.Exit(1)
-		}
-		defer dm.Close()
-	}
-
-	if *workerMode || *connectAddr != "" {
-		// Worker side of the distributed fabric: apply the replicated
-		// overrides, then serve shards until the coordinator says done.
-		err := applyOverrides(*modelNames, *waferName, *backend)
-		if err == nil {
-			switch {
-			case *connectAddr != "" && *redial > 0:
-				err = distrib.DialAndServe(*connectAddr, distrib.RedialOptions{Attempts: *redial})
-			case *connectAddr != "":
-				err = distrib.ConnectAndServe(*connectAddr)
-			default:
-				err = distrib.ServeStdio()
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tempbench: worker:", err)
-			os.Exit(1)
-		}
+	defer rt.Close()
+	// Workers apply the replicated overrides, then serve shards until
+	// the coordinator says done.
+	if rt.Start(applyOverrides) {
 		return
 	}
-	passthrough := workerPassthrough(*workers, *memoDir, *modelNames, *waferName, *backend)
-	tune := fabTuning{syncMemo: *syncMemo, heartbeat: *heartbeat}
+	tail := workerTail()
+	fo := distrib.Options{Workers: rt.Distribute, Listen: *listenAddr, SyncMemo: *syncMemo, Heartbeat: *heartbeat}
 	if *chaosSpec != "" {
-		cc, err := distrib.ParseChaos(*chaosSpec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tempbench:", err)
-			os.Exit(1)
-		}
-		tune.chaos = cc
+		fo.Chaos, err = distrib.ParseChaos(*chaosSpec)
+		rt.Check(err)
 	}
 
 	switch {
-	case *listB:
-		for _, n := range cost.BackendNames() {
-			fmt.Println(n)
-		}
-		return
-	case *listM:
-		for _, n := range spec.Models.Names() {
-			fmt.Println(n)
-		}
-		return
-	case *listW:
-		for _, n := range spec.Wafers.Names() {
-			fmt.Println(n)
-		}
-		return
-	case *listSt:
-		for _, n := range solver.StrategyNames() {
-			fmt.Println(n)
-		}
-		return
-	case *scenario != "":
-		ss, err := spec.LoadScenario(*scenario)
-		var override *spec.SolverStage
-		var costStage *spec.CostStage
-		if err == nil {
-			override, err = spec.SolverOverride(*strategy, *budget, *seed, *workers)
-		}
-		if err == nil {
-			costStage, err = spec.CostOverride(*backend, *seed)
-		}
-		if err == nil {
-			attachResilience(&ss, *repair, *faultCampaign != "")
-			fab, n := scenarioFabric([]spec.ScenarioSpec{ss}, *distribute, *listenAddr, passthrough, tune)
-			defer fab.Shutdown()
-			ov := sim.Overrides{Strategy: *strategy, Budget: *budget, Seed: *seed, Workers: *workers, Backend: *backend}
-			err = runScenarios([]spec.ScenarioSpec{ss}, *jsonPath, *workers, override, costStage, *faultCampaign, fab, ov, n)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tempbench:", err)
-			os.Exit(1)
-		}
-		return
-	case *scenarios != "":
-		sss, err := spec.LoadScenarioDir(*scenarios)
-		var override *spec.SolverStage
-		var costStage *spec.CostStage
-		if err == nil {
-			override, err = spec.SolverOverride(*strategy, *budget, *seed, *workers)
-		}
-		if err == nil {
-			costStage, err = spec.CostOverride(*backend, *seed)
-		}
-		if err == nil {
-			for i := range sss {
-				attachResilience(&sss[i], *repair, *faultCampaign != "")
-			}
-			fab, n := scenarioFabric(sss, *distribute, *listenAddr, passthrough, tune)
-			defer fab.Shutdown()
-			ov := sim.Overrides{Strategy: *strategy, Budget: *budget, Seed: *seed, Workers: *workers, Backend: *backend}
-			err = runScenarios(sss, *jsonPath, *workers, override, costStage, *faultCampaign, fab, ov, n)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tempbench:", err)
-			os.Exit(1)
-		}
+	case *scenario != "" || *scenarios != "":
+		rt.Check(runScenarios(fo, tail))
 		return
 	case *faultCampaign != "":
 		// Standalone campaign: the best TEMP mapping of the selected
 		// model/wafer pair, swept over the default (or -quick reduced)
 		// grid — the CI survivability artifact path.
-		fab := newFabric(*distribute, *listenAddr, 0, 0, passthrough, tune)
+		fab := rt.Fabric(fo, rt.MemoDir, tail...)
 		defer fab.Shutdown()
-		if err := runStandaloneCampaign(*faultCampaign, *modelNames, *waferName, *backend, *quick, *seed, *workers, fab); err != nil {
-			fmt.Fprintln(os.Stderr, "tempbench:", err)
-			os.Exit(1)
-		}
+		rt.Check(runStandaloneCampaign(fab))
 		return
 	}
 
-	if err := applyOverrides(*modelNames, *waferName, *backend); err != nil {
-		fmt.Fprintln(os.Stderr, "tempbench:", err)
-		os.Exit(1)
-	}
-
+	rt.Check(applyOverrides())
 	if *list {
 		for _, r := range experiments.Runners() {
 			fmt.Println(r.ID)
 		}
 		return
 	}
-	fab := newFabric(*distribute, *listenAddr, 0, 0, passthrough, tune)
+	fab := rt.Fabric(fo, rt.MemoDir, tail...)
 	defer fab.Shutdown()
 	if *exp != "" {
 		start := time.Now()
 		tab, err := experiments.ByIDOn(fab, *exp, *quick)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tempbench:", err)
-			os.Exit(1)
-		}
+		rt.Check(err)
 		tab.Fprint(os.Stdout)
 		if *jsonPath != "" {
-			stats := engine.CountersSnapshot()
 			out := output{
-				Quick: *quick, Workers: engine.Workers(), Backend: backendLabel(),
+				Quick: *quick, Backend: backendLabel(),
 				TotalSeconds: time.Since(start).Seconds(),
 				Experiments:  []record{toRecord(tab, time.Since(start))},
 			}
-			out = finishDistrib(out, fab, *distribute, &stats)
-			if err := writeJSON(*jsonPath, out.withEngineStats(stats).withLoweringStats()); err != nil {
-				fmt.Fprintln(os.Stderr, "tempbench:", err)
-				os.Exit(1)
-			}
+			rt.Check(writeOutput(out, fab, fo.Workers))
 		}
 		return
 	}
@@ -755,22 +543,14 @@ func main() {
 		t.Fprint(os.Stdout)
 	}
 	if *jsonPath != "" {
-		stats := engine.CountersSnapshot()
 		out := output{
-			Quick: *quick, Workers: engine.Workers(), Backend: backendLabel(),
+			Quick: *quick, Backend: backendLabel(),
 			TotalSeconds: total.Seconds(),
 		}
 		for i, t := range tabs {
 			out.Experiments = append(out.Experiments, toRecord(t, durs[i]))
 		}
-		out = finishDistrib(out, fab, *distribute, &stats)
-		if werr := writeJSON(*jsonPath, out.withEngineStats(stats).withLoweringStats()); werr != nil {
-			fmt.Fprintln(os.Stderr, "tempbench:", werr)
-			os.Exit(1)
-		}
+		rt.Check(writeOutput(out, fab, fo.Workers))
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tempbench:", err)
-		os.Exit(1)
-	}
+	rt.Check(err)
 }

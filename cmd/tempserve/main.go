@@ -17,7 +17,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
@@ -27,6 +26,7 @@ import (
 	"syscall"
 	"time"
 
+	"temp/internal/cli"
 	"temp/internal/distrib"
 	"temp/internal/engine"
 	"temp/internal/serve"
@@ -44,74 +44,52 @@ const (
 	idleTimeout = 2 * time.Minute
 )
 
+var (
+	rt            = cli.New("tempserve", "fan multi-scenario requests across N worker subprocesses")
+	listen        = flag.String("listen", ":8080", "HTTP listen address")
+	coalesce      = flag.Duration("coalesce", 2*time.Millisecond, "cross-request miss-coalescing window (0 disables)")
+	maxConcurrent = flag.Int("max-concurrent", runtime.GOMAXPROCS(0), "solve requests running at once")
+	maxQueue      = flag.Int("max-queue", 64, "solve requests waiting past -max-concurrent before 503")
+	syncMemo      = flag.Bool("sync-memo", false, "ship the warm disk-memo to workers over the wire instead of sharing -memo-dir (shared-nothing workers)")
+	drainGrace    = flag.Duration("drain-grace", 30*time.Second, "SIGTERM drain: time in-flight solves get to finish before cancellation")
+	checkpointDir = flag.String("checkpoint-dir", "", "persist best-so-far checkpoints of solves cancelled during drain to this directory")
+
+	loadtest = flag.Bool("loadtest", false, "run as load generator against -url instead of serving")
+	url      = flag.String("url", "http://127.0.0.1:8080", "-loadtest: daemon base URL")
+	mixDir   = flag.String("mix", "examples/serve_mix", "-loadtest: directory of request/scenario JSON files to replay")
+	clients  = flag.Int("clients", 8, "-loadtest: concurrent client loops")
+	repeat   = flag.Int("repeat", 1, "-loadtest: times each mix entry is replayed per pass")
+	passes   = flag.Int("passes", 2, "-loadtest: sweeps over the mix (first cold, rest warm)")
+	verify   = flag.Bool("verify", true, "-loadtest: byte-compare served results against a direct in-process solve")
+	jsonPath = flag.String("json", "", "-loadtest: write the load report to this file")
+)
+
+// workerMemoDir is the -memo-dir spawned workers share: none under
+// -sync-memo, where they receive the warm segment over the wire at
+// attach instead.
+func workerMemoDir() string {
+	if *syncMemo {
+		return ""
+	}
+	return rt.MemoDir
+}
+
 func main() {
-	var (
-		listen        = flag.String("listen", ":8080", "HTTP listen address")
-		workers       = flag.Int("workers", runtime.GOMAXPROCS(0), "evaluation worker-pool size")
-		memoDir       = flag.String("memo-dir", os.Getenv("TEMPMEMO"), "persist priced results in this directory and warm-start from them (default $TEMPMEMO)")
-		coalesce      = flag.Duration("coalesce", 2*time.Millisecond, "cross-request miss-coalescing window (0 disables)")
-		maxConcurrent = flag.Int("max-concurrent", runtime.GOMAXPROCS(0), "solve requests running at once")
-		maxQueue      = flag.Int("max-queue", 64, "solve requests waiting past -max-concurrent before 503")
-		distribute    = flag.Int("distribute", 0, "fan multi-scenario requests across N worker subprocesses")
-		syncMemo      = flag.Bool("sync-memo", false, "ship the warm disk-memo to workers over the wire instead of sharing -memo-dir (shared-nothing workers)")
-		drainGrace    = flag.Duration("drain-grace", 30*time.Second, "SIGTERM drain: time in-flight solves get to finish before cancellation")
-		checkpointDir = flag.String("checkpoint-dir", "", "persist best-so-far checkpoints of solves cancelled during drain to this directory")
-		workerMode    = flag.Bool("worker-mode", false, "internal: serve shards from a coordinator over stdio")
-
-		loadtest = flag.Bool("loadtest", false, "run as load generator against -url instead of serving")
-		url      = flag.String("url", "http://127.0.0.1:8080", "-loadtest: daemon base URL")
-		mixDir   = flag.String("mix", "examples/serve_mix", "-loadtest: directory of request/scenario JSON files to replay")
-		clients  = flag.Int("clients", 8, "-loadtest: concurrent client loops")
-		repeat   = flag.Int("repeat", 1, "-loadtest: times each mix entry is replayed per pass")
-		passes   = flag.Int("passes", 2, "-loadtest: sweeps over the mix (first cold, rest warm)")
-		verify   = flag.Bool("verify", true, "-loadtest: byte-compare served results against a direct in-process solve")
-		jsonPath = flag.String("json", "", "-loadtest: write the load report to this file")
-	)
 	flag.Parse()
-	engine.SetWorkers(*workers)
-
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, "tempserve:", err)
-		os.Exit(1)
-	}
-	if *memoDir != "" {
-		dm, err := engine.AttachDiskMemo(*memoDir)
-		if err != nil {
-			fail(err)
-		}
-		defer dm.Close()
-	}
-	if *workerMode {
-		if err := distrib.ServeStdio(); err != nil {
-			fail(err)
-		}
+	defer rt.Close()
+	if rt.Start(nil) {
 		return
 	}
 	if *loadtest {
-		runLoadtest(*url, *mixDir, *clients, *repeat, *passes, *verify, *jsonPath, fail)
+		runLoadtest()
 		return
 	}
 
 	if *coalesce > 0 {
 		engine.SetCoalescer(engine.NewCoalescer(nil, *coalesce, 0))
 	}
-	var fab *distrib.Fabric
-	if *distribute > 0 {
-		exe, err := os.Executable()
-		if err != nil {
-			fail(err)
-		}
-		cmdline := []string{exe, "-worker-mode", "-workers", fmt.Sprint(*workers)}
-		if *memoDir != "" && !*syncMemo {
-			// Workers share the memo directory; with -sync-memo they
-			// instead receive the warm segment over the wire at attach.
-			cmdline = append(cmdline, "-memo-dir", *memoDir)
-		}
-		if fab, err = distrib.New(distrib.Options{Workers: *distribute, Command: cmdline, SyncMemo: *syncMemo}); err != nil {
-			fmt.Fprintln(os.Stderr, "tempserve: distrib:", err)
-		}
-		defer fab.Shutdown()
-	}
+	fab := rt.Fabric(distrib.Options{Workers: rt.Distribute, SyncMemo: *syncMemo}, workerMemoDir())
+	defer fab.Shutdown()
 
 	srv := serve.New(serve.Options{
 		MaxConcurrent: *maxConcurrent,
@@ -158,26 +136,22 @@ func main() {
 	}()
 
 	fmt.Fprintf(os.Stderr, "tempserve: listening on %s (workers %d, max-concurrent %d, queue %d, coalesce %s, distribute %d)\n",
-		*listen, *workers, *maxConcurrent, *maxQueue, *coalesce, *distribute)
-	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-		fail(err)
+		*listen, rt.Workers, *maxConcurrent, *maxQueue, *coalesce, rt.Distribute)
+	if err := httpSrv.ListenAndServe(); err != http.ErrServerClosed {
+		rt.Check(err)
 	}
 	<-done
 }
 
 // runLoadtest drives a running daemon and prints the report.
-func runLoadtest(url, mixDir string, clients, repeat, passes int, verify bool, jsonPath string, fail func(error)) {
-	mix, err := serve.LoadMix(mixDir)
-	if err != nil {
-		fail(err)
-	}
+func runLoadtest() {
+	mix, err := serve.LoadMix(*mixDir)
+	rt.Check(err)
 	rep, err := serve.RunLoad(serve.LoadOptions{
-		URL: url, Clients: clients, Repeat: repeat, Passes: passes,
-		Mix: mix, Verify: verify,
+		URL: *url, Clients: *clients, Repeat: *repeat, Passes: *passes,
+		Mix: mix, Verify: *verify,
 	})
-	if err != nil {
-		fail(err)
-	}
+	rt.Check(err)
 	for _, p := range rep.Passes {
 		fmt.Printf("pass %d  %4d requests (%d errors)  %8.2f solves/s  p50 %s  p95 %s  p99 %s  queue %s  hit ratio %.2f\n",
 			p.Pass, p.Requests, p.Errors, p.SolvesSec,
@@ -193,14 +167,8 @@ func runLoadtest(url, mixDir string, clients, repeat, passes int, verify bool, j
 			fmt.Printf("verify       MISMATCH: %s\n", rep.Verify.Mismatch)
 		}
 	}
-	if jsonPath != "" {
-		buf, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fail(err)
-		}
-		if err := os.WriteFile(jsonPath, append(buf, '\n'), 0o644); err != nil {
-			fail(err)
-		}
+	if *jsonPath != "" {
+		rt.Check(cli.WriteJSON(*jsonPath, rep))
 	}
 	if rep.Verify != nil && !rep.Verify.Match {
 		os.Exit(1)

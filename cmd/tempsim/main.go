@@ -16,16 +16,14 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
-	"time"
 
+	"temp/internal/cli"
 	"temp/internal/cost"
 	"temp/internal/distrib"
 	"temp/internal/engine"
@@ -34,7 +32,6 @@ import (
 	"temp/internal/model"
 	"temp/internal/parallel"
 	"temp/internal/sim"
-	"temp/internal/solver"
 	"temp/internal/spec"
 	"temp/internal/unit"
 )
@@ -87,24 +84,6 @@ func printScenarioResult(r sim.ScenarioResult) {
 	fmt.Println(line)
 }
 
-// attachResilience mutates a scenario spec per the -repair and
-// -fault-campaign flags: -repair rides on an existing fault stage;
-// -fault-campaign adds one (the campaign does not need injection
-// rates, so a missing fault stage is created empty).
-func attachResilience(ss *spec.ScenarioSpec, repair, campaign bool) {
-	if repair && ss.Fault != nil && ss.Fault.Repair == nil {
-		ss.Fault.Repair = &spec.RepairSpec{}
-	}
-	if campaign {
-		if ss.Fault == nil {
-			ss.Fault = &spec.FaultSpec{}
-		}
-		if ss.Fault.Campaign == nil {
-			ss.Fault.Campaign = &spec.CampaignSpec{}
-		}
-	}
-}
-
 // printRecovery renders a repair-stage record.
 func printRecovery(rec *fault.Recovery) {
 	fmt.Printf("repair     %d dead links, %d dead dies: re-price %.3f -> repaired %.3f on %s (%s, %d evals, %s)\n",
@@ -114,25 +93,6 @@ func printRecovery(rec *fault.Recovery) {
 		fmt.Printf("           cold re-solve: %.3f (%d evals, %s)\n",
 			rec.ColdNorm, rec.ColdEvals, rec.ColdElapsed)
 	}
-}
-
-// printCampaign renders a survivability grid.
-func printCampaign(cr *fault.CampaignResult) {
-	fmt.Printf("campaign   %s on %s, config %s (%d trials/cell, seed %d, backend %s)\n",
-		cr.Model, cr.Wafer, cr.Config, cr.Trials, cr.Seed, cr.Backend)
-	for _, c := range cr.Cells {
-		fmt.Printf("  link %4.0f%% core %4.0f%%: functional %5.1f%%  mean %.3f  p5 %.3f  min %.3f\n",
-			c.LinkRate*100, c.CoreRate*100, c.FunctionalRate*100, c.MeanNorm, c.P5Norm, c.MinNorm)
-	}
-}
-
-// writeCampaignJSON writes one campaign result as a JSON artifact.
-func writeCampaignJSON(path string, cr *fault.CampaignResult) error {
-	buf, err := json.MarshalIndent(cr, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }
 
 // printSolverOutcome renders a scenario's search stage.
@@ -151,13 +111,14 @@ func printSolverOutcome(o *sim.SolverOutcome) {
 		o.Dominant, o.Share*100)
 }
 
-func runScenarioFile(ctx context.Context, path string, override *spec.SolverStage, costStage *spec.CostStage, repair bool, campaignPath string) error {
-	ss, err := spec.LoadScenario(path)
+func runScenarioFile(ctx context.Context, override *spec.SolverStage, costStage *spec.CostStage) error {
+	ss, err := spec.LoadScenario(*scenario)
 	if err != nil {
 		return err
 	}
-	attachResilience(&ss, repair, campaignPath != "")
-	sc, err := ss.Resolve()
+	specs := []spec.ScenarioSpec{ss}
+	cli.AttachResilience(specs, *repair, *campaign != "")
+	sc, err := specs[0].Resolve()
 	if err != nil {
 		return err
 	}
@@ -195,9 +156,9 @@ func runScenarioFile(ctx context.Context, path string, override *spec.SolverStag
 		printRecovery(res.Recovery)
 	}
 	if res.Campaign != nil {
-		printCampaign(res.Campaign)
-		if campaignPath != "" {
-			if err := writeCampaignJSON(campaignPath, res.Campaign); err != nil {
+		cli.PrintCampaign("campaign  ", res.Campaign)
+		if *campaign != "" {
+			if err := cli.WriteJSON(*campaign, res.Campaign); err != nil {
 				return err
 			}
 		}
@@ -208,46 +169,66 @@ func runScenarioFile(ctx context.Context, path string, override *spec.SolverStag
 	return nil
 }
 
+// runBatch runs the -scenarios directory, sharded across worker
+// subprocesses when -distribute or a spec-declared distrib block asks;
+// results merge in spec order and match the in-process run
+// bit-for-bit. It reports whether every scenario succeeded.
+func runBatch(ctx context.Context, ov sim.Overrides) (bool, error) {
+	specs, err := spec.LoadScenarioDir(*scenarios)
+	if err != nil {
+		return false, err
+	}
+	cli.AttachResilience(specs, *repair, *campaign != "")
+	fab := rt.Fabric(cli.SpecDistrib(distrib.Options{Workers: rt.Distribute}, specs), rt.MemoDir)
+	defer fab.Shutdown()
+	ok := true
+	var lastCampaign *fault.CampaignResult
+	for _, r := range sim.RunScenarioSpecsOnCtx(ctx, fab, specs, ov) {
+		printScenarioResult(r)
+		ok = ok && r.Err == nil
+		if r.Campaign != nil {
+			lastCampaign = r.Campaign
+		}
+	}
+	if *campaign != "" && lastCampaign != nil {
+		return ok, cli.WriteJSON(*campaign, lastCampaign)
+	}
+	return ok, nil
+}
+
+var (
+	rt = cli.New("tempsim", "shard -scenarios batches across N worker subprocesses",
+		"backends", "models", "wafers", "systems", "strategies")
+	target    = cli.TargetFlags()
+	dp        = flag.Int("dp", 1, "data parallel degree")
+	tp        = flag.Int("tp", 1, "tensor parallel degree")
+	sp        = flag.Int("sp", 1, "sequence parallel degree")
+	cp        = flag.Int("cp", 1, "context parallel degree")
+	tatp      = flag.Int("tatp", 1, "TATP stream parallel degree")
+	pp        = flag.Int("pp", 1, "pipeline degree across wafers")
+	wafers    = flag.Int("wafers", 1, "wafer count")
+	mapper    = flag.String("engine", "tcme", "mapping engine: smap|gmap|tcme")
+	rec       = flag.String("recompute", "selective", "recompute: none|selective|full")
+	fsdp      = flag.Bool("fsdp", false, "fully sharded data parallelism")
+	mesp      = flag.Bool("megatron-sp", false, "Megatron-3 fused sequence parallelism")
+	mb        = flag.Int("microbatch", 0, "sequences per rank per micro-step")
+	debugTr   = flag.Bool("debug", false, "print the calibration trace")
+	scenario  = flag.String("scenario", "", "run one scenario JSON file")
+	scenarios = flag.String("scenarios", "", "run every *.json scenario in a directory")
+	strategy  = flag.String("strategy", "", "add/override a solver stage on scenario runs (-list-strategies)")
+	budget    = flag.String("budget", "", "solver-stage budget: eval count, duration, or both (\"20000,30s\")")
+	repair    = flag.Bool("repair", false, "add a degradation-aware repair stage to scenario fault stages")
+	campaign  = flag.String("fault-campaign", "", "run a deterministic fault campaign and write survivability JSON to this file")
+	seed      = flag.Int64("seed", 7, "solver-stage and surrogate-training randomness seed")
+	backend   = flag.String("backend", "", "cost backend pricing the evaluation (-list-backends); accepts name or name@seed=N")
+)
+
 func main() {
-	var (
-		name      = flag.String("model", "gpt3-6.7b", "registered model name (-list-models)")
-		waferName = flag.String("wafer", "", "registered wafer name (-list-wafers); overrides -rows/-cols")
-		rows      = flag.Int("rows", 4, "wafer die rows")
-		cols      = flag.Int("cols", 8, "wafer die columns")
-		dp        = flag.Int("dp", 1, "data parallel degree")
-		tp        = flag.Int("tp", 1, "tensor parallel degree")
-		sp        = flag.Int("sp", 1, "sequence parallel degree")
-		cp        = flag.Int("cp", 1, "context parallel degree")
-		tatp      = flag.Int("tatp", 1, "TATP stream parallel degree")
-		pp        = flag.Int("pp", 1, "pipeline degree across wafers")
-		wafers    = flag.Int("wafers", 1, "wafer count")
-		mapper    = flag.String("engine", "tcme", "mapping engine: smap|gmap|tcme")
-		rec       = flag.String("recompute", "selective", "recompute: none|selective|full")
-		fsdp      = flag.Bool("fsdp", false, "fully sharded data parallelism")
-		mesp      = flag.Bool("megatron-sp", false, "Megatron-3 fused sequence parallelism")
-		mb        = flag.Int("microbatch", 0, "sequences per rank per micro-step")
-		debugTr   = flag.Bool("debug", false, "print the calibration trace")
-		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "evaluation worker-pool size")
-		scenario  = flag.String("scenario", "", "run one scenario JSON file")
-		scenarios = flag.String("scenarios", "", "run every *.json scenario in a directory")
-		strategy  = flag.String("strategy", "", "add/override a solver stage on scenario runs (-list-strategies)")
-		budget    = flag.String("budget", "", "solver-stage budget: eval count, duration, or both (\"20000,30s\")")
-		repair    = flag.Bool("repair", false, "add a degradation-aware repair stage to scenario fault stages")
-		campaign  = flag.String("fault-campaign", "", "run a deterministic fault campaign and write survivability JSON to this file")
-		seed      = flag.Int64("seed", 7, "solver-stage and surrogate-training randomness seed")
-		backend   = flag.String("backend", "", "cost backend pricing the evaluation (-list-backends); accepts name or name@seed=N")
-		listM     = flag.Bool("list-models", false, "list registered model names")
-		listW     = flag.Bool("list-wafers", false, "list registered wafer names")
-		listS     = flag.Bool("list-systems", false, "list registered system names")
-		listSt    = flag.Bool("list-strategies", false, "list registered search strategies")
-		listB     = flag.Bool("list-backends", false, "list registered cost backends")
-		memoDir   = flag.String("memo-dir", os.Getenv("TEMPMEMO"),
-			"persist priced results in this directory and warm-start from them (default $TEMPMEMO)")
-		distribute = flag.Int("distribute", 0, "shard -scenarios batches across N worker subprocesses")
-		workerMode = flag.Bool("worker-mode", false, "internal: serve shards from a coordinator over stdio")
-	)
 	flag.Parse()
-	engine.SetWorkers(*workers)
+	defer rt.Close()
+	if rt.Start(nil) {
+		return
+	}
 
 	// First SIGINT/SIGTERM cancels scenario runs gracefully (solves
 	// stop at their next budget check, distributed shards are
@@ -255,158 +236,24 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if *memoDir != "" {
-		dm, err := engine.AttachDiskMemo(*memoDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tempsim:", err)
-			os.Exit(1)
+	if *scenario != "" || *scenarios != "" {
+		ov := sim.Overrides{Strategy: *strategy, Budget: *budget, Seed: *seed, Workers: rt.Workers, Backend: *backend}
+		override, costStage, err := ov.Stages()
+		rt.Check(err)
+		if *scenario != "" {
+			rt.Check(runScenarioFile(ctx, override, costStage))
+			return
 		}
-		defer dm.Close()
-	}
-	if *workerMode {
-		if err := distrib.ServeStdio(); err != nil {
-			fmt.Fprintln(os.Stderr, "tempsim: worker:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	switch {
-	case *listB:
-		for _, n := range cost.BackendNames() {
-			fmt.Println(n)
-		}
-		return
-	case *listM:
-		for _, n := range spec.Models.Names() {
-			fmt.Println(n)
-		}
-		return
-	case *listW:
-		for _, n := range spec.Wafers.Names() {
-			fmt.Println(n)
-		}
-		return
-	case *listS:
-		for _, n := range spec.Systems.Names() {
-			fmt.Println(n)
-		}
-		return
-	case *listSt:
-		for _, n := range solver.StrategyNames() {
-			fmt.Println(n)
-		}
-		return
-	case *scenario != "":
-		override, err := spec.SolverOverride(*strategy, *budget, *seed, *workers)
-		var costStage *spec.CostStage
-		if err == nil {
-			costStage, err = spec.CostOverride(*backend, *seed)
-		}
-		if err == nil {
-			err = runScenarioFile(ctx, *scenario, override, costStage, *repair, *campaign)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tempsim:", err)
-			os.Exit(1)
-		}
-		return
-	case *scenarios != "":
-		override, err := spec.SolverOverride(*strategy, *budget, *seed, *workers)
-		var costStage *spec.CostStage
-		if err == nil {
-			costStage, err = spec.CostOverride(*backend, *seed)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tempsim:", err)
-			os.Exit(1)
-		}
-		specs, err := spec.LoadScenarioDir(*scenarios)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tempsim:", err)
-			os.Exit(1)
-		}
-		for i := range specs {
-			attachResilience(&specs[i], *repair, *campaign != "")
-		}
-		// -distribute (or a spec-declared distrib block) shards the
-		// batch across worker subprocesses; results merge in spec
-		// order and match the in-process run bit-for-bit.
-		n, shard, retries := *distribute, 0, 0
-		var hb time.Duration
-		missed := 0
-		syncMemo := false
-		for _, ss := range specs {
-			if ss.Distrib != nil {
-				if n == 0 {
-					n = ss.Distrib.Workers
-				}
-				shard, retries = ss.Distrib.ShardSize, ss.Distrib.Retries
-				hb = time.Duration(ss.Distrib.HeartbeatMS) * time.Millisecond
-				missed = ss.Distrib.MissedBeats
-				syncMemo = ss.Distrib.SyncMemo
-				break
-			}
-		}
-		var fab *distrib.Fabric
-		if n > 0 {
-			if exe, eerr := os.Executable(); eerr == nil {
-				cmdline := []string{exe, "-worker-mode", "-workers", fmt.Sprint(*workers)}
-				if *memoDir != "" {
-					cmdline = append(cmdline, "-memo-dir", *memoDir)
-				}
-				var ferr error
-				if fab, ferr = distrib.New(distrib.Options{
-					Workers: n, Command: cmdline, ShardSize: shard, Retries: retries,
-					Heartbeat: hb, MissedBeats: missed, SyncMemo: syncMemo,
-				}); ferr != nil {
-					fmt.Fprintln(os.Stderr, "tempsim: distrib:", ferr)
-				}
-				defer fab.Shutdown()
-			}
-		}
-		var results []sim.ScenarioResult
-		if fab != nil {
-			ov := sim.Overrides{Strategy: *strategy, Budget: *budget, Seed: *seed, Workers: *workers, Backend: *backend}
-			results = sim.RunScenarioSpecsOnCtx(ctx, fab, specs, ov)
-		} else {
-			results = sim.RunScenarioSpecsWithStagesCtx(ctx, specs, override, costStage)
-		}
-		failed := false
-		var lastCampaign *fault.CampaignResult
-		for _, r := range results {
-			printScenarioResult(r)
-			failed = failed || r.Err != nil
-			if r.Campaign != nil {
-				lastCampaign = r.Campaign
-			}
-		}
-		if *campaign != "" && lastCampaign != nil {
-			if err := writeCampaignJSON(*campaign, lastCampaign); err != nil {
-				fmt.Fprintln(os.Stderr, "tempsim:", err)
-				os.Exit(1)
-			}
-		}
-		if failed {
+		ok, err := runBatch(ctx, ov)
+		rt.Check(err)
+		if !ok {
 			os.Exit(1)
 		}
 		return
 	}
 
-	m, err := spec.LookupModel(*name)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tempsim:", err)
-		os.Exit(1)
-	}
-	var w hw.Wafer
-	if *waferName != "" {
-		if w, err = spec.LookupWafer(*waferName); err != nil {
-			fmt.Fprintln(os.Stderr, "tempsim:", err)
-			os.Exit(1)
-		}
-	} else {
-		w = hw.WaferWithGrid(*rows, *cols)
-	}
+	m, w, err := target.Resolve()
+	rt.Check(err)
 	cfg := parallel.Config{DP: *dp, TP: *tp, SP: *sp, CP: *cp, TATP: *tatp, PP: *pp,
 		FSDP: *fsdp, MegatronSP: *mesp}
 	o := cost.Options{Microbatch: *mb, Wafers: *wafers, DistributedOptimizer: true}
@@ -430,21 +277,14 @@ func main() {
 	key := ""
 	if *backend != "" {
 		stage, err := spec.CostOverride(*backend, *seed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tempsim:", err)
-			os.Exit(1)
-		}
+		rt.Check(err)
 		key = stage.Key
 	}
 	if *repair {
-		fmt.Fprintln(os.Stderr, "tempsim: -repair needs a scenario with a fault stage (-scenario/-scenarios)")
-		os.Exit(1)
+		rt.Check(fmt.Errorf("-repair needs a scenario with a fault stage (-scenario/-scenarios)"))
 	}
 	b, err := engine.EvaluateJob(engine.Job{Model: m, Wafer: w, Config: cfg, Opts: o, Backend: key})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tempsim:", err)
-		os.Exit(1)
-	}
+	rt.Check(err)
 	printBreakdown(m, w, cfg, o, b)
 	if *debugTr {
 		fmt.Println("trace     ", cost.Debug(m, w, cfg, o))
@@ -452,15 +292,10 @@ func main() {
 	if *campaign != "" {
 		cr, err := fault.Campaign{
 			Model: m, Wafer: w, Config: cfg, Opts: o,
-			Backend: key, Workers: *workers,
+			Backend: key, Workers: rt.Workers,
 		}.Run()
-		if err == nil {
-			printCampaign(&cr)
-			err = writeCampaignJSON(*campaign, &cr)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tempsim:", err)
-			os.Exit(1)
-		}
+		rt.Check(err)
+		cli.PrintCampaign("campaign  ", &cr)
+		rt.Check(cli.WriteJSON(*campaign, &cr))
 	}
 }

@@ -18,18 +18,16 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 
 	"temp/internal/baselines"
+	"temp/internal/cli"
 	"temp/internal/cost"
 	"temp/internal/distrib"
-	"temp/internal/engine"
 	"temp/internal/fault"
 	"temp/internal/hw"
 	"temp/internal/model"
@@ -78,11 +76,7 @@ func (rz resilience) run(m model.Config, w hw.Wafer, cfg parallel.Config, o cost
 		}
 		fmt.Printf("campaign     %d cells x %d trials -> %s\n",
 			len(cr.Cells), cr.Trials, rz.campaignPath)
-		buf, err := json.MarshalIndent(cr, "", "  ")
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(rz.campaignPath, append(buf, '\n'), 0o644)
+		return cli.WriteJSON(rz.campaignPath, cr)
 	}
 	return nil
 }
@@ -208,36 +202,30 @@ func solveScenario(ctx context.Context, ss spec.ScenarioSpec, st solver.Strategy
 	return solve(ctx, sc.Model, sc.Wafer, st, b, backendKey, screenSeed, sc.System.Opts, rz, fab, raceSeed)
 }
 
+var (
+	rt = cli.New("tempsolve", "race portfolio strategies across N worker subprocesses",
+		"backends", "models", "wafers", "strategies")
+	target    = cli.TargetFlags()
+	strategy  = flag.String("strategy", "ga", "search strategy (-list-strategies)")
+	backend   = flag.String("backend", "", "cost backend whose operator model prices the search (-list-backends)")
+	budget    = flag.String("budget", "", "search budget: eval count, duration, or both (\"20000,30s\")")
+	noGA      = flag.Bool("no-ga", false, "stop after chain dynamic programming (alias for -strategy dp)")
+	seed      = flag.Int64("seed", 7, "search randomness seed")
+	repair    = flag.Bool("repair", false, "after solving, inject a seeded fault mask and repair from the solved mapping")
+	faultLink = flag.Float64("fault-link", 0.15, "-repair link-fault rate")
+	faultCore = flag.Float64("fault-core", 0, "-repair core-fault rate")
+	faultSeed = flag.Int64("fault-seed", 3, "-repair fault-mask seed")
+	campaign  = flag.String("fault-campaign", "", "run a fault campaign on the solved mapping and write survivability JSON to this file")
+	scenario  = flag.String("scenario", "", "solve the model/wafer of one scenario JSON file")
+	scenarios = flag.String("scenarios", "", "solve every *.json scenario in a directory")
+)
+
 func main() {
-	var (
-		name      = flag.String("model", "gpt3-6.7b", "registered model name (-list-models)")
-		waferName = flag.String("wafer", "", "registered wafer name (-list-wafers); overrides -rows/-cols")
-		rows      = flag.Int("rows", 4, "wafer die rows")
-		cols      = flag.Int("cols", 8, "wafer die columns")
-		strategy  = flag.String("strategy", "ga", "search strategy (-list-strategies)")
-		backend   = flag.String("backend", "", "cost backend whose operator model prices the search (-list-backends)")
-		budget    = flag.String("budget", "", "search budget: eval count, duration, or both (\"20000,30s\")")
-		noGA      = flag.Bool("no-ga", false, "stop after chain dynamic programming (alias for -strategy dp)")
-		seed      = flag.Int64("seed", 7, "search randomness seed")
-		repair    = flag.Bool("repair", false, "after solving, inject a seeded fault mask and repair from the solved mapping")
-		faultLink = flag.Float64("fault-link", 0.15, "-repair link-fault rate")
-		faultCore = flag.Float64("fault-core", 0, "-repair core-fault rate")
-		faultSeed = flag.Int64("fault-seed", 3, "-repair fault-mask seed")
-		campaign  = flag.String("fault-campaign", "", "run a fault campaign on the solved mapping and write survivability JSON to this file")
-		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "evaluation worker-pool size")
-		scenario  = flag.String("scenario", "", "solve the model/wafer of one scenario JSON file")
-		scenarios = flag.String("scenarios", "", "solve every *.json scenario in a directory")
-		listM     = flag.Bool("list-models", false, "list registered model names")
-		listW     = flag.Bool("list-wafers", false, "list registered wafer names")
-		listS     = flag.Bool("list-strategies", false, "list registered search strategies")
-		listB     = flag.Bool("list-backends", false, "list registered cost backends")
-		memoDir   = flag.String("memo-dir", os.Getenv("TEMPMEMO"),
-			"persist priced results in this directory and warm-start from them (default $TEMPMEMO)")
-		distribute = flag.Int("distribute", 0, "race portfolio strategies across N worker subprocesses")
-		workerMode = flag.Bool("worker-mode", false, "internal: serve shards from a coordinator over stdio")
-	)
 	flag.Parse()
-	engine.SetWorkers(*workers)
+	defer rt.Close()
+	if rt.Start(nil) {
+		return
+	}
 
 	// First SIGINT/SIGTERM cancels the solve gracefully — the solver
 	// returns its best-so-far at the next budget check and distributed
@@ -245,47 +233,6 @@ func main() {
 	// restores default handling after the first delivery).
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, "tempsolve:", err)
-		os.Exit(1)
-	}
-	if *memoDir != "" {
-		dm, err := engine.AttachDiskMemo(*memoDir)
-		if err != nil {
-			fail(err)
-		}
-		defer dm.Close()
-	}
-	if *workerMode {
-		if err := distrib.ServeStdio(); err != nil {
-			fail(err)
-		}
-		return
-	}
-
-	switch {
-	case *listB:
-		for _, n := range cost.BackendNames() {
-			fmt.Println(n)
-		}
-		return
-	case *listM:
-		for _, n := range spec.Models.Names() {
-			fmt.Println(n)
-		}
-		return
-	case *listW:
-		for _, n := range spec.Wafers.Names() {
-			fmt.Println(n)
-		}
-		return
-	case *listS:
-		for _, n := range solver.StrategyNames() {
-			fmt.Println(n)
-		}
-		return
-	}
 
 	strategyName := *strategy
 	overridden := *noGA
@@ -300,49 +247,30 @@ func main() {
 	})
 	if *noGA {
 		if strategySet && strategyName != "dp" {
-			fail(fmt.Errorf("-no-ga conflicts with -strategy %s (it is an alias for -strategy dp)", strategyName))
+			rt.Check(fmt.Errorf("-no-ga conflicts with -strategy %s (it is an alias for -strategy dp)", strategyName))
 		}
 		strategyName = "dp"
 	}
 	st, err := solver.NewStrategy(strategyName, solver.Params{"seed": float64(*seed)})
-	if err != nil {
-		fail(err)
-	}
+	rt.Check(err)
 	b, err := spec.ParseBudget(*budget)
-	if err != nil {
-		fail(err)
-	}
-	b.Workers = *workers
+	rt.Check(err)
+	b.Workers = rt.Workers
 	costStage, err := spec.CostOverride(*backend, *seed)
-	if err != nil {
-		fail(err)
-	}
+	rt.Check(err)
 	backendKey := ""
 	if costStage != nil {
 		backendKey = costStage.Key
 	}
-	var fab *distrib.Fabric
-	if *distribute > 0 {
-		exe, err := os.Executable()
-		if err != nil {
-			fail(err)
-		}
-		cmdline := []string{exe, "-worker-mode", "-workers", fmt.Sprint(*workers)}
-		if *memoDir != "" {
-			cmdline = append(cmdline, "-memo-dir", *memoDir)
-		}
-		if fab, err = distrib.New(distrib.Options{Workers: *distribute, Command: cmdline}); err != nil {
-			fmt.Fprintln(os.Stderr, "tempsolve: distrib:", err)
-		}
-		defer fab.Shutdown()
-	}
+	fab := rt.Fabric(distrib.Options{Workers: rt.Distribute}, rt.MemoDir)
+	defer fab.Shutdown()
 	rz := resilience{
 		repair:       *repair,
 		campaignPath: *campaign,
 		in:           fault.Injection{LinkRate: *faultLink, CoreRate: *faultCore, CoresPerDie: 64},
 		faultSeed:    *faultSeed,
 		seed:         *seed,
-		workers:      *workers,
+		workers:      rt.Workers,
 	}
 
 	switch {
@@ -351,39 +279,21 @@ func main() {
 		if err == nil {
 			err = solveScenario(ctx, ss, st, b, overridden, costStage, *seed, rz, fab, *seed)
 		}
-		if err != nil {
-			fail(err)
-		}
+		rt.Check(err)
 		return
 	case *scenarios != "":
 		sss, err := spec.LoadScenarioDir(*scenarios)
-		if err != nil {
-			fail(err)
-		}
+		rt.Check(err)
 		for i, ss := range sss {
 			if i > 0 {
 				fmt.Println()
 			}
-			if err := solveScenario(ctx, ss, st, b, overridden, costStage, *seed, rz, fab, *seed); err != nil {
-				fail(err)
-			}
+			rt.Check(solveScenario(ctx, ss, st, b, overridden, costStage, *seed, rz, fab, *seed))
 		}
 		return
 	}
 
-	m, err := spec.LookupModel(*name)
-	if err != nil {
-		fail(err)
-	}
-	var w hw.Wafer
-	if *waferName != "" {
-		if w, err = spec.LookupWafer(*waferName); err != nil {
-			fail(err)
-		}
-	} else {
-		w = hw.WaferWithGrid(*rows, *cols)
-	}
-	if err := solve(ctx, m, w, st, b, backendKey, *seed, baselines.TEMP().Opts, rz, fab, *seed); err != nil {
-		fail(err)
-	}
+	m, w, err := target.Resolve()
+	rt.Check(err)
+	rt.Check(solve(ctx, m, w, st, b, backendKey, *seed, baselines.TEMP().Opts, rz, fab, *seed))
 }

@@ -272,15 +272,7 @@ func RunScenariosCtx(ctx context.Context, scs []spec.Scenario) []ScenarioResult 
 // spec that fails to resolve contributes an error result rather than
 // aborting the batch.
 func RunScenarioSpecs(specs []spec.ScenarioSpec) []ScenarioResult {
-	return RunScenarioSpecsWithSolver(specs, nil)
-}
-
-// RunScenarioSpecsWithSolver is RunScenarioSpecs with an optional
-// solver-stage override: when non-nil, every scenario in the batch
-// runs the given search stage in place of (or in addition to) the one
-// its spec declares — the CLI -strategy/-budget flags.
-func RunScenarioSpecsWithSolver(specs []spec.ScenarioSpec, override *spec.SolverStage) []ScenarioResult {
-	return RunScenarioSpecsWithStages(specs, override, nil)
+	return RunScenarioSpecsWithStages(specs, nil, nil)
 }
 
 // RunScenarioSpecsWithStages is RunScenarioSpecs with optional

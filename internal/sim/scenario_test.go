@@ -169,7 +169,7 @@ func TestScenarioSolverStage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	over := RunScenarioSpecsWithSolver([]spec.ScenarioSpec{ss}, stage)[0]
+	over := RunScenarioSpecsWithStages([]spec.ScenarioSpec{ss}, stage, nil)[0]
 	if over.Err != nil {
 		t.Fatal(over.Err)
 	}

@@ -1,6 +1,8 @@
 package spec
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -92,6 +94,60 @@ func TestClampBudget(t *testing.T) {
 		got := ClampBudget(tc.b, tc.clamp)
 		if got.Evals != tc.wantEvals || got.Time != tc.wantTime || got.Checkpoint != tc.wantCkpoint {
 			t.Errorf("%s: ClampBudget(%+v, %+v) = %+v", tc.name, tc.b, tc.clamp, got)
+		}
+	}
+}
+
+// TestDieArrayBound: a request whose inline wafer asks for a die array
+// beyond maxDieSide a side is rejected before anything is laid out,
+// while every registered wafer and every example scenario still
+// validates.
+func TestDieArrayBound(t *testing.T) {
+	huge := `{"scenario":{"model":"gpt3-6.7b","wafer":{"rows":1048576,"cols":1048576}}}`
+	r, err := ParseRequest([]byte(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Validate(); err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("2^40-die wafer: Validate = %v, want a die-array bound error", err)
+	}
+	for _, tall := range []WaferSpec{{Rows: maxDieSide + 1, Cols: 1}, {Rows: 1, Cols: maxDieSide + 1}} {
+		if err := tall.Validate(); err == nil {
+			t.Errorf("%dx%d wafer validated", tall.Rows, tall.Cols)
+		}
+	}
+	if err := (WaferSpec{Rows: maxDieSide, Cols: maxDieSide}).Validate(); err != nil {
+		t.Errorf("%dx%d wafer rejected: %v", maxDieSide, maxDieSide, err)
+	}
+
+	for _, name := range Wafers.Names() {
+		w, _ := Wafers.Lookup(name)
+		if err := WaferSpecOf(w).Validate(); err != nil {
+			t.Errorf("registered wafer %s: %v", name, err)
+		}
+	}
+	ss, err := LoadScenario("../../examples/custom_scenario/scenario.json")
+	if err == nil {
+		err = ss.Validate()
+	}
+	if err != nil {
+		t.Errorf("custom_scenario example: %v", err)
+	}
+	mix, err := filepath.Glob("../../examples/serve_mix/*.json")
+	if err != nil || len(mix) == 0 {
+		t.Fatalf("serve_mix examples: %v (%d files)", err, len(mix))
+	}
+	for _, path := range mix {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := ParseRequest(data)
+		if err == nil {
+			err = r.Validate()
+		}
+		if err != nil {
+			t.Errorf("%s: %v", path, err)
 		}
 	}
 }

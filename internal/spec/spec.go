@@ -164,10 +164,21 @@ type WaferSpec struct {
 	InterWaferLatency   float64 `json:"inter_wafer_latency,omitempty"`
 }
 
+// maxDieSide bounds each side of a spec's die array. Specs arrive in
+// files and in HTTP request bodies, and the first evaluation lays the
+// whole array out as a mesh, so an unbounded side would let one
+// request ask for a 2^40-die topology. The registered wafers and the
+// examples stay within 16 dies a side; 64 leaves room for larger
+// wafers while keeping a mesh in the thousands of dies.
+const maxDieSide = 64
+
 // Validate reports structural problems with the spec.
 func (s WaferSpec) Validate() error {
 	if s.Rows <= 0 || s.Cols <= 0 {
 		return fmt.Errorf("spec: wafer %q has non-positive die array %dx%d", s.Name, s.Rows, s.Cols)
+	}
+	if s.Rows > maxDieSide || s.Cols > maxDieSide {
+		return fmt.Errorf("spec: wafer %q die array %dx%d exceeds %d dies a side", s.Name, s.Rows, s.Cols, maxDieSide)
 	}
 	if s.Die != nil {
 		if s.Die.PeakFLOPS < 0 || s.Die.HBMBytes < 0 || s.Die.HBMBandwidth < 0 {
