@@ -52,6 +52,7 @@ type Runtime struct {
 	redial     int
 	lists      []*bool // indexed like registries; nil where not registered
 	memo       *engine.DiskMemo
+	fab        *distrib.Fabric // what Fabric attached; Check shuts it down
 }
 
 // New registers the shared flags on flag.CommandLine: -workers,
@@ -141,10 +142,14 @@ func (r *Runtime) Close() {
 }
 
 // Check exits the process with status 1 after printing a non-nil err
-// under the binary's name.
+// under the binary's name. os.Exit skips deferred calls, so Check
+// first shuts down the fabric Fabric attached — its spawned workers
+// would otherwise die on EOF — and closes the memo Start attached.
 func (r *Runtime) Check(err error) {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", r.name, err)
+		r.fab.Shutdown()
+		r.Close()
 		os.Exit(1)
 	}
 }
@@ -171,6 +176,7 @@ func (r *Runtime) Fabric(o distrib.Options, memoDir string, tail ...string) *dis
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%s: distrib: %v\n", r.name, err)
 	}
+	r.fab = f
 	return f
 }
 

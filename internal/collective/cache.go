@@ -39,7 +39,16 @@ const (
 // with it instead of pinning them process-wide.
 type lowerMap struct {
 	sync.RWMutex
-	m map[string]*mesh.PhaseTemplate
+	m map[string]*lowerEntry
+}
+
+// lowerEntry is one key's template, compiled once: concurrent first
+// lookups of a key share the entry the first of them inserted, and
+// wait on its once for the compile. So every key costs one build and
+// counts one miss however the lookups race.
+type lowerEntry struct {
+	once sync.Once
+	tmpl *mesh.PhaseTemplate
 }
 
 // lowerMapKey is the Derived key under which a topology stores its
@@ -48,7 +57,7 @@ type lowerMapKey struct{}
 
 func lowerMapOf(t *mesh.Topology) *lowerMap {
 	return t.Derived(lowerMapKey{}, func() any {
-		return &lowerMap{m: map[string]*mesh.PhaseTemplate{}}
+		return &lowerMap{m: map[string]*lowerEntry{}}
 	}).(*lowerMap)
 }
 
@@ -97,25 +106,24 @@ func lower(t *mesh.Topology, kind byte, tag string, dies []mesh.DieID,
 		b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 	}
 	lm.RLock()
-	tmpl := lm.m[string(b)]
+	e, ok := lm.m[string(b)]
 	lm.RUnlock()
-	if tmpl == nil {
-		lowerMisses.Add(1)
-		tmpl = mesh.NewPhaseTemplate(build(1))
+	if !ok {
 		lm.Lock()
-		if prior, ok := lm.m[string(b)]; ok {
-			// Concurrent build of the same key: keep the first winner so
-			// every caller shares one template.
-			tmpl = prior
-		} else {
-			lm.m[string(b)] = tmpl
-			lowerTemplates.Add(1)
+		if e, ok = lm.m[string(b)]; !ok {
+			e = new(lowerEntry)
+			lm.m[string(b)] = e
 		}
 		lm.Unlock()
-	} else {
+	}
+	if ok {
 		lowerHits.Add(1)
+	} else {
+		lowerMisses.Add(1)
+		lowerTemplates.Add(1)
 	}
 	*bp = b
 	keyPool.Put(bp)
-	return tmpl.Materialize(perFlowBytes)
+	e.once.Do(func() { e.tmpl = mesh.NewPhaseTemplate(build(1)) })
+	return e.tmpl.Materialize(perFlowBytes)
 }

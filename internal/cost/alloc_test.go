@@ -12,12 +12,11 @@ import (
 // TestEvaluateSteadyStateAllocs pins the pricing hot path's
 // allocation budget. After the first evaluation warms the interned
 // topology's derived caches (placement, orchestrations, compiled
-// lowering templates and, for the TEMP engine, the TCME memo), a
-// GMap/SMap evaluation runs in a handful of allocations (currently 4:
-// the evaluator itself and a few template sequence headers) and a
-// TEMP one in twice that, one set per placement family — the
-// regression guard leaves headroom but catches any return of the
-// per-evaluation map/route churn, which cost thousands.
+// lowering templates and, for the TEMP engine, the TCME memo) and the
+// pooled pricing scratch, Evaluate — a batch of one on that scratch —
+// allocates nothing for every engine, the TEMP engine's two placement
+// families included. Any return of per-evaluation map/route churn,
+// which cost thousands, or of a heap-allocated evaluator fails it.
 func TestEvaluateSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -30,9 +29,9 @@ func TestEvaluateSteadyStateAllocs(t *testing.T) {
 		engine cost.Engine
 		budget float64
 	}{
-		{"GMap", cost.GMap, 32},
-		{"SMap", cost.SMap, 32},
-		{"TEMP (TCME)", cost.TCMEEngine, 32},
+		{"GMap", cost.GMap, 0},
+		{"SMap", cost.SMap, 0},
+		{"TEMP (TCME)", cost.TCMEEngine, 0},
 	} {
 		o := cost.TEMPOptions()
 		o.Engine = tc.engine

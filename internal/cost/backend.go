@@ -227,32 +227,58 @@ func NewBackend(key string) (Backend, error) {
 	return b, nil
 }
 
-// analyticBackend is the historical monolithic model as a tier: Price
-// is exactly Evaluate and Operator is the closed-form per-op model.
-type analyticBackend struct{}
+// builtinBackend is the analytic and the replay tier: both price
+// through the one pooled full-step kernel (priceBatch), and replay
+// selects its contention fidelity.
+//
+//   - The analytic tier is the historical monolithic model: Price is
+//     exactly Evaluate and Operator is the closed-form per-op model.
+//   - The replay tier runs the full evaluator with every communication
+//     phase lowered onto the mesh and link-load replayed through the
+//     TCME optimizer, so even SMap/GMap scenarios get their phases
+//     contention-replayed — a "what if only communication scheduling
+//     improved" study. Its Operator is OperatorReplay, which places each
+//     candidate configuration and replays its TATP streams and TP ring
+//     collectives flow by flow.
+type builtinBackend struct{ replay bool }
 
 // Name implements Backend.
-func (analyticBackend) Name() string { return "analytic" }
+func (b builtinBackend) Name() string {
+	if b.replay {
+		return "replay"
+	}
+	return "analytic"
+}
 
 // Price implements Backend.
-func (analyticBackend) Price(m model.Config, w hw.Wafer, cfg parallel.Config, o Options) (Breakdown, error) {
-	return Evaluate(m, w, cfg, o)
+func (b builtinBackend) Price(m model.Config, w hw.Wafer, cfg parallel.Config, o Options) (Breakdown, error) {
+	return price(m, w, cfg, o, b.replay)
+}
+
+// PriceBatch implements BatchBackend.
+func (b builtinBackend) PriceBatch(m model.Config, w hw.Wafer, cfgs []parallel.Config, o Options,
+	out []Breakdown, errs []error) {
+	priceBatch(m, w, cfgs, o, out, errs, b.replay)
+}
+
+// PriceOn implements PlacementBackend: fault studies price degraded
+// topologies at the same fidelity as healthy ones.
+func (b builtinBackend) PriceOn(m model.Config, w hw.Wafer, cfg parallel.Config, o Options,
+	topo *mesh.Topology, place *parallel.Placement) (Breakdown, error) {
+	return evaluateOn(m, w, cfg, o, topo, place, b.replay)
 }
 
 // Operator implements Backend.
-func (analyticBackend) Operator(m model.Config, w hw.Wafer) (OperatorModel, error) {
+func (b builtinBackend) Operator(m model.Config, w hw.Wafer) (OperatorModel, error) {
+	if b.replay {
+		return NewOperatorReplay(m, w), nil
+	}
 	return &OperatorAnalytic{W: w, M: m}, nil
 }
 
-// PriceOn implements PlacementBackend.
-func (analyticBackend) PriceOn(m model.Config, w hw.Wafer, cfg parallel.Config, o Options,
-	topo *mesh.Topology, place *parallel.Placement) (Breakdown, error) {
-	return evaluateOn(m, w, cfg, o, topo, place, false)
-}
-
 func init() {
-	RegisterBackend("analytic", func(int64) (Backend, error) { return analyticBackend{}, nil })
-	RegisterBackend("replay", func(int64) (Backend, error) { return &replayBackend{}, nil })
+	RegisterBackend("analytic", func(int64) (Backend, error) { return builtinBackend{}, nil })
+	RegisterBackend("replay", func(int64) (Backend, error) { return builtinBackend{replay: true}, nil })
 	RegisterBackend("surrogate", func(seed int64) (Backend, error) {
 		if seed == 0 {
 			seed = DefaultSurrogateSeed

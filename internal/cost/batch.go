@@ -1,6 +1,7 @@
 package cost
 
 import (
+	"fmt"
 	"sync"
 
 	"temp/internal/hw"
@@ -38,11 +39,11 @@ func PriceBatch(be Backend, m model.Config, w hw.Wafer, cfgs []parallel.Config, 
 	return out, errs
 }
 
-// batchScratch is the pooled per-batch pricing state: one reusable
-// evaluator value, the lowered-sequence buffer it threads through the
-// stream/collective terms, a normalized-config dedupe index and a
-// per-topology evalState cache that skips the interface boxing of
-// Topology.Derived on repeat candidates.
+// batchScratch is the pooled pricing state every full-step pricing
+// runs on: one reusable evaluator value, the lowered-sequence buffer
+// it threads through the stream/collective terms, a normalized-config
+// dedupe index and a per-topology evalState cache that skips the
+// interface boxing of Topology.Derived on repeat candidates.
 type batchScratch struct {
 	ev     evaluator
 	seq    []mesh.LoweredSeq
@@ -80,13 +81,15 @@ func (s *batchScratch) stateFor(cfg parallel.Config, linear, tcmeOrders bool) (*
 	return st, err
 }
 
-// evaluateState prices one (cfg, state) pair on the reused evaluator,
-// bit-identical to the scalar evaluateState.
+// evaluateState prices one (cfg, state) pair on topo with the reused
+// evaluator. topo is passed rather than read from s.topo because
+// caller-owned placements (evaluateOn) price on topologies the
+// scratch's state cache must not be retargeted to.
 func (s *batchScratch) evaluateState(m model.Config, w hw.Wafer, cfg parallel.Config, o Options,
-	st *evalState, graph model.Graph, replay bool) (Breakdown, error) {
+	topo *mesh.Topology, st *evalState, graph model.Graph, replay bool) (Breakdown, error) {
 	s.ev = evaluator{
 		m: m, w: w, cfg: cfg, o: o,
-		topo: s.topo, st: st,
+		topo: topo, st: st,
 		graph:  graph,
 		replay: replay,
 		seqBuf: s.seq[:0],
@@ -96,54 +99,46 @@ func (s *batchScratch) evaluateState(m model.Config, w hw.Wafer, cfg parallel.Co
 	return b, err
 }
 
-// priceOne replicates the scalar evaluate() engine dispatch (including
-// the default engine's rectangular-vs-linear placement race) against
-// the scratch's cached states.
+// priceOne is the engine dispatch of a normalized candidate: SMap
+// places linear runs, GMap hierarchical rectangles, and the TCME
+// engine races both placement families and keeps the faster.
 func (s *batchScratch) priceOne(m model.Config, w hw.Wafer, cfg parallel.Config, o Options,
 	graph model.Graph, replay bool) (Breakdown, error) {
 	tcmeOrders := o.Engine == TCMEEngine
-	switch o.Engine {
-	case SMap:
-		st, err := s.stateFor(cfg, true, tcmeOrders)
+	if o.Engine == SMap || o.Engine == GMap {
+		st, err := s.stateFor(cfg, o.Engine == SMap, tcmeOrders)
 		if err != nil {
 			return Breakdown{}, err
 		}
-		return s.evaluateState(m, w, cfg, o, st, graph, replay)
-	case GMap:
-		st, err := s.stateFor(cfg, false, tcmeOrders)
-		if err != nil {
-			return Breakdown{}, err
-		}
-		return s.evaluateState(m, w, cfg, o, st, graph, replay)
-	default:
-		rect, rectErr := s.stateFor(cfg, false, tcmeOrders)
-		lin, linErr := s.stateFor(cfg, true, tcmeOrders)
-		if rectErr != nil && linErr != nil {
-			return Breakdown{}, rectErr
-		}
-		var best Breakdown
-		have := false
-		if rectErr == nil {
-			b, err := s.evaluateState(m, w, cfg, o, rect, graph, replay)
-			if err == nil {
-				best, have = b, true
-			}
-		}
-		if linErr == nil {
-			b, err := s.evaluateState(m, w, cfg, o, lin, graph, replay)
-			if err == nil && (!have || b.StepTime < best.StepTime) {
-				best, have = b, true
-			}
-		}
-		if !have {
-			return Breakdown{}, noViablePlacement(cfg)
-		}
-		return best, nil
+		return s.evaluateState(m, w, cfg, o, s.topo, st, graph, replay)
 	}
+	rect, rectErr := s.stateFor(cfg, false, tcmeOrders)
+	lin, linErr := s.stateFor(cfg, true, tcmeOrders)
+	if rectErr != nil && linErr != nil {
+		return Breakdown{}, rectErr
+	}
+	var best Breakdown
+	have := false
+	if rectErr == nil {
+		b, err := s.evaluateState(m, w, cfg, o, s.topo, rect, graph, replay)
+		if err == nil {
+			best, have = b, true
+		}
+	}
+	if linErr == nil {
+		b, err := s.evaluateState(m, w, cfg, o, s.topo, lin, graph, replay)
+		if err == nil && (!have || b.StepTime < best.StepTime) {
+			best, have = b, true
+		}
+	}
+	if !have {
+		return Breakdown{}, fmt.Errorf("cost: no viable placement for %s", cfg)
+	}
+	return best, nil
 }
 
-// priceBatch is the shared batched walk: normalize, dedupe, price each
-// distinct candidate once on the pooled scratch.
+// priceBatch is the one full-step pricing walk: normalize, dedupe,
+// price each distinct candidate once on the pooled scratch.
 func priceBatch(m model.Config, w hw.Wafer, cfgs []parallel.Config, o Options,
 	out []Breakdown, errs []error, replay bool) {
 	s := batchPool.Get().(*batchScratch)
@@ -161,15 +156,24 @@ func priceBatch(m model.Config, w hw.Wafer, cfgs []parallel.Config, o Options,
 	batchPool.Put(s)
 }
 
-// PriceBatch implements BatchBackend for the analytic tier.
-func (analyticBackend) PriceBatch(m model.Config, w hw.Wafer, cfgs []parallel.Config, o Options,
-	out []Breakdown, errs []error) {
-	priceBatch(m, w, cfgs, o, out, errs, false)
+// price prices one candidate as a batch of one.
+func price(m model.Config, w hw.Wafer, cfg parallel.Config, o Options, replay bool) (Breakdown, error) {
+	var out [1]Breakdown
+	var errs [1]error
+	priceBatch(m, w, []parallel.Config{cfg}, o, out[:], errs[:], replay)
+	return out[0], errs[0]
 }
 
-// PriceBatch implements BatchBackend for the replay tier: the same
-// shared-state walk at contention fidelity.
-func (*replayBackend) PriceBatch(m model.Config, w hw.Wafer, cfgs []parallel.Config, o Options,
-	out []Breakdown, errs []error) {
-	priceBatch(m, w, cfgs, o, out, errs, true)
+// evaluateOn lowers an externally supplied placement (fault studies)
+// and prices it on the pooled scratch. The lowering state is built
+// fresh because the caller owns the placement; its templates die with
+// this evaluation, so its TCME memo is private to it.
+func evaluateOn(m model.Config, w hw.Wafer, cfg parallel.Config, o Options,
+	topo *mesh.Topology, place *parallel.Placement, replay bool) (Breakdown, error) {
+	st := newEvalState(topo, place, o.Engine == TCMEEngine)
+	st.tcme = new(tcmeMemo)
+	s := batchPool.Get().(*batchScratch)
+	b, err := s.evaluateState(m, w, cfg.Normalize(), o, topo, st, model.BlockGraph(m), replay)
+	batchPool.Put(s)
+	return b, err
 }

@@ -10,7 +10,7 @@ import (
 	"temp/internal/parallel"
 )
 
-// batchWafers are the floorplans the batched-vs-scalar equivalence is
+// batchWafers are the floorplans the batch-of-K-vs-batch-of-one equivalence is
 // pinned on (the two evaluation grids of the paper).
 func batchWafers() []hw.Wafer {
 	return []hw.Wafer{hw.EvaluationWafer(), hw.ReferenceWafer()}
@@ -49,11 +49,13 @@ func batchCandidates(dies, k int) []parallel.Config {
 	return out
 }
 
-// TestPriceBatchMatchesPrice pins the batched kernels to the scalar
-// path: for every zoo model on both floorplans, PriceBatch must
-// reproduce per-candidate Price bit-identically (full Breakdown
-// equality, matching error text) at K ∈ {1, 7, 64} including
-// duplicate candidates.
+// TestPriceBatchMatchesPrice pins a batch of K to batches of one:
+// Price is a batch of one on the same pooled kernel, so for every zoo
+// model on both floorplans PriceBatch must reproduce per-candidate
+// Price bit-identically (full Breakdown equality, matching error
+// text) at K ∈ {1, 7, 64}, including duplicate candidates whose
+// results the batch's dedupe copies and state the scratch carries
+// from one candidate to the next.
 func TestPriceBatchMatchesPrice(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full zoo sweep is not -short")
@@ -99,7 +101,7 @@ func TestPriceBatchMatchesPrice(t *testing.T) {
 
 // TestPriceBatchMatchesPriceEngines covers the remaining engine
 // dispatch arms (SMap, GMap, TCME) and the replay backend on a
-// reduced set — the scalar/batch split must agree under every
+// reduced set — a batch of K must match batches of one under every
 // placement family, not just the default race.
 func TestPriceBatchMatchesPriceEngines(t *testing.T) {
 	m := model.GPT3_6_7B()

@@ -293,9 +293,8 @@ type evaluator struct {
 	tcmeAgg   tcme.Result
 
 	// seqBuf and collSeq are reusable lowered-sequence scratch for the
-	// stream and collective terms. A nil seqBuf grows on demand (the
-	// scalar path); the batch pricer threads a pooled buffer through so
-	// steady-state candidates allocate nothing.
+	// stream and collective terms. The pricer threads a pooled seqBuf
+	// through so steady-state candidates allocate nothing.
 	seqBuf  []mesh.LoweredSeq
 	collSeq [1]mesh.LoweredSeq
 }
@@ -353,65 +352,13 @@ func (ev *evaluator) evalLowered(seq []mesh.LoweredSeq) float64 {
 	return ser + hop
 }
 
-// Evaluate runs the cost model for one model/wafer/config triple.
-// The TCME engine explores both placement families (hierarchical
-// rectangles and linear runs) and keeps the faster — part of the
-// mapping-space exploration GMap lacks (§VIII-A).
+// Evaluate runs the cost model for one model/wafer/config triple at
+// the analytic tier, as a batch of one through priceBatch. The TCME
+// engine explores both placement families (hierarchical rectangles
+// and linear runs) and keeps the faster — part of the mapping-space
+// exploration GMap lacks (§VIII-A).
 func Evaluate(m model.Config, w hw.Wafer, cfg parallel.Config, o Options) (Breakdown, error) {
-	return evaluate(m, w, cfg, o, false)
-}
-
-// evaluate is the shared Price core; replay selects the contention
-// replay fidelity of the "replay" backend.
-func evaluate(m model.Config, w hw.Wafer, cfg parallel.Config, o Options, replay bool) (Breakdown, error) {
-	cfg = cfg.Normalize()
-	topo := mesh.FromWafer(w)
-	tcmeOrders := o.Engine == TCMEEngine
-	switch o.Engine {
-	case SMap:
-		st, err := stateFor(topo, cfg, true, tcmeOrders)
-		if err != nil {
-			return Breakdown{}, err
-		}
-		return evaluateState(m, w, cfg, o, topo, st, replay)
-	case GMap:
-		st, err := stateFor(topo, cfg, false, tcmeOrders)
-		if err != nil {
-			return Breakdown{}, err
-		}
-		return evaluateState(m, w, cfg, o, topo, st, replay)
-	default:
-		rect, rectErr := stateFor(topo, cfg, false, tcmeOrders)
-		lin, linErr := stateFor(topo, cfg, true, tcmeOrders)
-		if rectErr != nil && linErr != nil {
-			return Breakdown{}, rectErr
-		}
-		var best Breakdown
-		have := false
-		if rectErr == nil {
-			b, err := evaluateState(m, w, cfg, o, topo, rect, replay)
-			if err == nil {
-				best, have = b, true
-			}
-		}
-		if linErr == nil {
-			b, err := evaluateState(m, w, cfg, o, topo, lin, replay)
-			if err == nil && (!have || b.StepTime < best.StepTime) {
-				best, have = b, true
-			}
-		}
-		if !have {
-			return Breakdown{}, noViablePlacement(cfg)
-		}
-		return best, nil
-	}
-}
-
-// noViablePlacement is the default engine's both-families-failed
-// error, shared by the scalar and batched pricers so their messages
-// cannot drift.
-func noViablePlacement(cfg parallel.Config) error {
-	return fmt.Errorf("cost: no viable placement for %s", cfg)
+	return price(m, w, cfg, o, false)
 }
 
 // EvaluateOn runs the cost model against an existing topology and
@@ -420,29 +367,6 @@ func noViablePlacement(cfg parallel.Config) error {
 func EvaluateOn(m model.Config, w hw.Wafer, cfg parallel.Config, o Options,
 	topo *mesh.Topology, place *parallel.Placement) (Breakdown, error) {
 	return evaluateOn(m, w, cfg, o, topo, place, false)
-}
-
-// evaluateOn lowers an externally supplied placement (fault studies)
-// and prices it; the lowering state is built fresh because the caller
-// owns the placement. Its templates die with this evaluation, so its
-// TCME memo is private to it.
-func evaluateOn(m model.Config, w hw.Wafer, cfg parallel.Config, o Options,
-	topo *mesh.Topology, place *parallel.Placement, replay bool) (Breakdown, error) {
-	cfg = cfg.Normalize()
-	st := newEvalState(topo, place, o.Engine == TCMEEngine)
-	st.tcme = new(tcmeMemo)
-	return evaluateState(m, w, cfg, o, topo, st, replay)
-}
-
-func evaluateState(m model.Config, w hw.Wafer, cfg parallel.Config, o Options,
-	topo *mesh.Topology, st *evalState, replay bool) (Breakdown, error) {
-	ev := &evaluator{
-		m: m, w: w, cfg: cfg, o: o,
-		topo: topo, st: st,
-		graph:  model.BlockGraph(m),
-		replay: replay,
-	}
-	return ev.run()
 }
 
 // aliveOnly filters dead dies out of a group (fault adaptation keeps

@@ -14,40 +14,6 @@ import (
 	"temp/internal/unit"
 )
 
-// replayBackend is the contention-fidelity tier: instead of the
-// closed-form collective and stream terms of the analytic operator
-// model, every communication phase is lowered onto the wafer mesh and
-// link-load replayed through the TCME optimizer.
-//
-//   - Price runs the full evaluator with the replay flag set, so even
-//     SMap/GMap scenarios get their phases contention-replayed — a
-//     "what if only communication scheduling improved" study the
-//     monolithic entry point could not express.
-//   - Operator returns OperatorReplay, which places each candidate
-//     configuration on the mesh and replays its TATP streams and TP
-//     ring collectives flow by flow.
-type replayBackend struct{}
-
-// Name implements Backend.
-func (*replayBackend) Name() string { return "replay" }
-
-// Price implements Backend.
-func (*replayBackend) Price(m model.Config, w hw.Wafer, cfg parallel.Config, o Options) (Breakdown, error) {
-	return evaluate(m, w, cfg, o, true)
-}
-
-// Operator implements Backend.
-func (*replayBackend) Operator(m model.Config, w hw.Wafer) (OperatorModel, error) {
-	return NewOperatorReplay(m, w), nil
-}
-
-// PriceOn implements PlacementBackend: fault studies replay degraded
-// topologies at the same contention fidelity as healthy ones.
-func (*replayBackend) PriceOn(m model.Config, w hw.Wafer, cfg parallel.Config, o Options,
-	topo *mesh.Topology, place *parallel.Placement) (Breakdown, error) {
-	return evaluateOn(m, w, cfg, o, topo, place, true)
-}
-
 // replayPlacement carries the per-configuration lowering state the
 // replay operator model reuses across calls: the placement, the TATP
 // stream orchestrations and the TP group communication orders — plus

@@ -60,12 +60,19 @@ type tcmeEntry struct {
 }
 
 // tcmeMemo is a topology's memo. The read path takes a read lock and a
-// map lookup, so a warm entry costs no allocation. It follows
-// engine.MemoShard, which this package cannot import (engine imports
-// cost).
+// map lookup, so a warm entry costs no allocation.
 type tcmeMemo struct {
 	mu sync.RWMutex
-	m  map[tcmeKey]tcmeEntry
+	m  map[tcmeKey]*tcmeSlot
+}
+
+// tcmeSlot is one key's entry, optimized once: concurrent first
+// lookups of a key share the slot the first of them inserted and wait
+// on its once for the optimizer. So every key is optimized once and
+// counts one miss however the lookups race.
+type tcmeSlot struct {
+	once sync.Once
+	e    tcmeEntry
 }
 
 // tcmeMemoKey is the Topology.Derived key of a topology's memo.
@@ -108,27 +115,27 @@ func (mm *tcmeMemo) optimized(topo *mesh.Topology, ls mesh.LoweredSeq, opts tcme
 	}
 	k := tcmeKey{tmpl: ls.Tmpl, bytes: math.Float64bits(ls.Bytes), opts: opts}
 	mm.mu.RLock()
-	e, ok := mm.m[k]
+	sl, ok := mm.m[k]
 	mm.mu.RUnlock()
+	if !ok {
+		mm.mu.Lock()
+		if sl, ok = mm.m[k]; !ok {
+			if mm.m == nil {
+				mm.m = make(map[tcmeKey]*tcmeSlot)
+			}
+			sl = new(tcmeSlot)
+			mm.m[k] = sl
+		}
+		mm.mu.Unlock()
+	}
 	if ok {
 		tcmeHits.Add(1)
-		return e
-	}
-	tcmeMisses.Add(1)
-	e = optimizeTemplate(topo, ls, opts)
-	mm.mu.Lock()
-	// Concurrent misses compute the same entry; the first store wins.
-	if prev, ok := mm.m[k]; ok {
-		e = prev
 	} else {
-		if mm.m == nil {
-			mm.m = make(map[tcmeKey]tcmeEntry)
-		}
-		mm.m[k] = e
+		tcmeMisses.Add(1)
 		tcmeEntries.Add(1)
 	}
-	mm.mu.Unlock()
-	return e
+	sl.once.Do(func() { sl.e = optimizeTemplate(topo, ls, opts) })
+	return sl.e
 }
 
 // optimizeTemplate materializes one scaled template and optimizes and

@@ -97,7 +97,10 @@ func priceOn(t *testing.T, topo *mesh.Topology, w hw.Wafer, cfg parallel.Config,
 	if err != nil {
 		t.Fatalf("%s: %v", cfg, err)
 	}
-	b, err := evaluateState(model.GPT3_6_7B(), w, cfg, o, topo, st, replay)
+	m := model.GPT3_6_7B()
+	s := batchPool.Get().(*batchScratch)
+	defer batchPool.Put(s)
+	b, err := s.evaluateState(m, w, cfg, o, topo, st, model.BlockGraph(m), replay)
 	if err != nil {
 		t.Fatalf("%s: %v", cfg, err)
 	}
@@ -227,8 +230,9 @@ func loweredSeqs(topo *mesh.Topology, st *evalState, m model.Config, cfg paralle
 
 // TestTCMEMemoConcurrentFreshFamily has 8 goroutines price the same
 // fresh family at once, racing on every memo miss, and requires each
-// to see exactly what a serial run on another fresh family saw. Run
-// under -race it also checks the memo's locking.
+// to see exactly what a serial run on another fresh family saw, and
+// the race to count as many memo misses as the serial run: one per
+// key. Run under -race it also checks the memo's locking.
 func TestTCMEMemoConcurrentFreshFamily(t *testing.T) {
 	m := model.GPT3_6_7B()
 	type job struct {
@@ -252,9 +256,11 @@ func TestTCMEMemoConcurrentFreshFamily(t *testing.T) {
 	}
 	serialWafer := freshWafer()
 	want := make([]Breakdown, len(jobs))
+	s0 := TCMEMemoStats()
 	for i, j := range jobs {
 		want[i] = price(serialWafer, j)
 	}
+	s1 := TCMEMemoStats()
 	w := freshWafer()
 	const workers = 8
 	got := make([][]Breakdown, workers)
@@ -272,7 +278,11 @@ func TestTCMEMemoConcurrentFreshFamily(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	s2 := TCMEMemoStats()
 	for g := range got {
 		requireSameBits(t, fmt.Sprintf("goroutine %d", g), got[g], want)
+	}
+	if serial, raced := s1.Misses-s0.Misses, s2.Misses-s1.Misses; raced != serial {
+		t.Errorf("racing goroutines counted %d memo misses, the serial run %d", raced, serial)
 	}
 }

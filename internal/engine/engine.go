@@ -180,13 +180,8 @@ func jobHash(j Job) uint64 {
 	return h
 }
 
-// priceJob runs one evaluation through the job's backend; the empty
-// key is the analytic tier's direct fast path.
+// priceJob runs one evaluation through the job's backend.
 func priceJob(j Job) Result {
-	if j.Backend == "" {
-		b, err := cost.Evaluate(j.Model, j.Wafer, j.Config, j.Opts)
-		return Result{Breakdown: b, Err: err}
-	}
 	be, err := cost.NewBackend(j.Backend)
 	if err != nil {
 		return Result{Err: err}
@@ -202,7 +197,7 @@ func (c *Cache) Evaluate(j Job) (cost.Breakdown, error) {
 	// internally, so the result is identical.
 	j.Config = j.Config.Normalize()
 	j.Backend = cost.CanonicalBackendKey(j.Backend)
-	r, _, _ := c.get(j, func() Result { return priceJob(j) })
+	r := c.get(j, func() Result { return priceJob(j) })
 	return r.Breakdown, r.Err
 }
 
@@ -210,8 +205,9 @@ func (c *Cache) Evaluate(j Job) (cost.Breakdown, error) {
 // memo, then the disk memo (when attached), then price. It maintains
 // the hit/miss/disk counters; price runs at most once per distinct
 // key and its result is persisted.
-func (c *Cache) get(j Job, price func() Result) (r Result, fresh, fromDisk bool) {
-	r, fresh = c.memo.Get(j, func() Result {
+func (c *Cache) get(j Job, price func() Result) Result {
+	fromDisk := false
+	r, fresh := c.memo.Get(j, func() Result {
 		if d := c.disk.Load(); d != nil {
 			if dr, ok := d.Lookup(j); ok {
 				fromDisk = true
@@ -232,7 +228,7 @@ func (c *Cache) get(j Job, price func() Result) (r Result, fresh, fromDisk bool)
 	default:
 		c.misses.Add(1)
 	}
-	return r, fresh, fromDisk
+	return r
 }
 
 // Stats reports cache effectiveness counters. The JSON tags make a
@@ -364,7 +360,7 @@ func (p *Pool) normalize(j Job) Job {
 // only for the miss path (the actual cost-model computation).
 func (p *Pool) evaluate(j Job) (cost.Breakdown, error) {
 	j = p.normalize(j)
-	r, _, _ := p.cache.get(j, func() Result {
+	r := p.cache.get(j, func() Result {
 		var res Result
 		p.Do(func() {
 			res = priceJob(j)
@@ -398,8 +394,8 @@ const sweepChunkCap = 64
 // chunked through cost.PriceBatch, so a population-sized sweep pays
 // the per-family setup once per chunk instead of once per candidate.
 // Results and cache-counter semantics are identical to evaluating
-// each job individually (batched kernels are bit-exact against the
-// scalar path).
+// each job individually (a batch prices each candidate bit-exactly as
+// a batch of one).
 func (p *Pool) Sweep(jobs []Job) []Result {
 	out := make([]Result, len(jobs))
 	norm := make([]Job, len(jobs))
@@ -418,50 +414,33 @@ func (p *Pool) Sweep(jobs []Job) []Result {
 		return out
 	}
 
-	// Collect the distinct missing jobs, serving what the disk memo
-	// already has and grouping the rest by family, in first-seen order.
-	priced := make(map[Job]Result)
-	fromDisk := make(map[Job]bool)
+	// Group the distinct misses the disk memo does not hold by family,
+	// in first-seen order.
+	seen := make(map[Job]bool, len(missIdx))
 	disk := p.cache.disk.Load()
 	families := make(map[jobFamily][]parallel.Config)
 	var order []jobFamily
 	distinct := 0
 	for _, i := range missIdx {
 		j := norm[i]
-		if _, ok := priced[j]; ok {
+		if seen[j] {
 			continue
 		}
-		if _, ok := fromDisk[j]; ok {
-			continue
-		}
+		seen[j] = true
 		if disk != nil {
-			if r, ok := disk.Lookup(j); ok {
-				priced[j] = r
-				fromDisk[j] = true
+			if _, ok := disk.Lookup(j); ok {
 				continue
 			}
 		}
 		f := jobFamily{Model: j.Model, Wafer: j.Wafer, Opts: j.Opts, Backend: j.Backend}
 		if _, ok := families[f]; !ok {
 			order = append(order, f)
-		} else {
-			// Dedupe within the family (PriceBatch would dedupe too,
-			// but skipping here keeps the chunk accounting exact).
-			dup := false
-			for _, c := range families[f] {
-				if c == j.Config {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				continue
-			}
 		}
 		families[f] = append(families[f], j.Config)
 		distinct++
 	}
 
+	priced := make(map[Job]Result, distinct)
 	if distinct > 0 {
 		if co := p.coal; co != nil {
 			// Cross-request miss coalescing: hand the family groups to
@@ -474,24 +453,17 @@ func (p *Pool) Sweep(jobs []Job) []Result {
 		}
 	}
 
-	// Publish through the memo so counters, entry identity and
-	// concurrent-sweep races behave exactly like the scalar path, and
-	// fresh results reach the disk memo.
+	// Publish through Cache.get, as one Evaluate per job would: it
+	// serves the disk-held jobs from the disk memo, stores and persists
+	// the priced ones and keeps the counters.
 	for _, i := range missIdx {
 		j := norm[i]
-		r, fresh := p.cache.memo.Get(j, func() Result { return priced[j] })
-		out[i] = r
-		switch {
-		case !fresh:
-			p.cache.hits.Add(1)
-		case fromDisk[j]:
-			p.cache.diskHits.Add(1)
-		default:
-			p.cache.misses.Add(1)
-			if disk != nil {
-				disk.Store(j, r)
+		out[i] = p.cache.get(j, func() Result {
+			if r, ok := priced[j]; ok {
+				return r
 			}
-		}
+			return priceJob(j) // the disk memo was detached after the probe
+		})
 	}
 	return out
 }

@@ -66,9 +66,8 @@ func (s *Portfolio) racers(p Problem) []Strategy {
 // context deadline before the race, so total wall-clock stays bounded
 // even when the workers bound serializes racers.
 func (s *Portfolio) Solve(ctx context.Context, p Problem, b Budget) (Assignment, Stats) {
-	stats := Stats{Strategy: s.Name()}
 	if !p.valid() {
-		return nil, stats
+		return nil, Stats{Strategy: s.Name()}
 	}
 	subs := s.racers(p)
 	inner := b
@@ -85,26 +84,35 @@ func (s *Portfolio) Solve(ctx context.Context, p Problem, b Budget) (Assignment,
 		assigns[i], subStats[i] = subs[i].Solve(ctx, p, inner)
 	})
 
+	winner, stats := raceStats(subStats)
+	return assigns[winner], stats
+}
+
+// raceStats picks a race's winner — strictly lower FinalCost wins, ties
+// break toward the earlier racer — and aggregates the portfolio's
+// stats: the winner's search figures, evaluations summed over every
+// racer, the longest racer's elapsed time and every racer under Sub.
+// The in-process and the distributed race both use it.
+func raceStats(subs []Stats) (int, Stats) {
 	winner := 0
 	for i := 1; i < len(subs); i++ {
-		if subStats[i].FinalCost < subStats[winner].FinalCost {
+		if subs[i].FinalCost < subs[winner].FinalCost {
 			winner = i
 		}
 	}
-	stats.Sub = subStats
-	stats.Winner = subStats[winner].Strategy
-	stats.DPCost = subStats[winner].DPCost
-	stats.FinalCost = subStats[winner].FinalCost
-	stats.Generations = subStats[winner].Generations
-	stats.Iterations = subStats[winner].Iterations
-	stats.Restarts = subStats[winner].Restarts
-	stats.Checkpoints = subStats[winner].Checkpoints
-	for _, ss := range subStats {
+	win := subs[winner]
+	stats := Stats{
+		Strategy: "portfolio", Sub: subs, Winner: win.Strategy,
+		DPCost: win.DPCost, FinalCost: win.FinalCost,
+		Generations: win.Generations, Iterations: win.Iterations,
+		Restarts: win.Restarts, Checkpoints: win.Checkpoints,
+	}
+	for _, ss := range subs {
 		stats.Evaluations += ss.Evaluations
 		stats.ScreenEvaluations += ss.ScreenEvaluations
 		if ss.Elapsed > stats.Elapsed {
 			stats.Elapsed = ss.Elapsed
 		}
 	}
-	return assigns[winner], stats
+	return winner, stats
 }
